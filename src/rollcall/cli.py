@@ -21,7 +21,7 @@ from . import client as client_mod
 from . import counter as counter_mod
 from . import sim as sim_mod
 from . import stats
-from .protocol import ConfigError, ExperimentConfig, ProtocolError, RoundRef, load_config
+from .protocol import ConfigError, ExperimentConfig, RoundRef, load_config
 from .timesync import SystemClock
 
 EXIT_OK = 0
@@ -193,7 +193,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: log file not found: {args.log}", file=sys.stderr)
         return EXIT_ERROR
-    except (counter_mod.CounterError, ProtocolError) as exc:
+    except counter_mod.CounterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:

@@ -126,7 +126,6 @@ class RoundOutcome(Enum):
     REPORTED = "REPORTED"
     DECLINED = "DECLINED"
     VIOLATED = "VIOLATED"
-    SKIPPED = "SKIPPED"
     FAILED = "FAILED"
 
 
@@ -272,6 +271,50 @@ def uptime_from_file(path: str | Path) -> Callable[[], list[UptimeRecord]]:
     return read
 
 
+# --- sans-I/O exchange policy, shared with the simulator -----------------------
+
+
+class ReportStep(Enum):
+    DONE = "DONE"
+    RETRY = "RETRY"
+    GIVE_UP = "GIVE_UP"
+
+
+def report_step(response: str) -> ReportStep:
+    """What the sender of a REPORT does with the counter's answer.
+
+    ACK is done, and so is DUP: an earlier attempt landed. EARLY, or a line
+    that does not decode, is worth another attempt while the report window
+    is open; any other answer is final.
+    """
+    try:
+        msg = decode_message(response)
+    except MalformedLine:
+        return ReportStep.RETRY
+    if isinstance(msg, Ack):
+        return ReportStep.DONE
+    reason = msg.reason if isinstance(msg, Reject) else None
+    if reason == "DUP":
+        return ReportStep.DONE
+    if reason == "EARLY":
+        return ReportStep.RETRY
+    return ReportStep.GIVE_UP
+
+
+def sync_sample(response: str, t1: int, t4: int) -> SyncSample | None:
+    """The sample a counter's answer to `SYNC t1` yields, or None if unusable."""
+    try:
+        msg = decode_message(response)
+    except MalformedLine:
+        return None
+    if not isinstance(msg, SyncResponse) or msg.t1 != t1:
+        return None
+    try:
+        return SyncSample(t1=t1, t2=msg.t2, t3=msg.t3, t4=t4)
+    except ValueError:  # timestamps out of order
+        return None
+
+
 # --- sync and survey over a transport ----------------------------------------
 
 
@@ -286,17 +329,9 @@ def sync_clock(transport: Transport, clock: Clock, samples: int = 8) -> ClockEst
         except TransportError as exc:
             failures = exc
             continue
-        t4 = clock.now_ms()
-        try:
-            msg = decode_message(response)
-        except MalformedLine:
-            continue
-        if not isinstance(msg, SyncResponse) or msg.t1 != t1:
-            continue
-        try:
-            collected.append(SyncSample(t1=t1, t2=msg.t2, t3=msg.t3, t4=t4))
-        except ValueError:
-            continue
+        sample = sync_sample(response, t1, clock.now_ms())
+        if sample is not None:
+            collected.append(sample)
     if not collected:
         raise ClockSyncError(f"no usable sync exchange ({failures})")
     return best_estimate(collected, k=max(len(collected), 1))
@@ -475,24 +510,14 @@ class ClientRunner:
         self._wait_counter(nxt.report_open_ms + self.options.send_margin_ms)
         while self._counter_now() <= nxt.report_close_ms:
             try:
-                response = self._request(line)
+                step = report_step(self._request(line))
             except TransportError:
-                self.clock.sleep_ms(self.options.retry_ms)
-                continue
-            try:
-                msg = decode_message(response)
-            except MalformedLine:
-                self.clock.sleep_ms(self.options.retry_ms)
-                continue
-            if isinstance(msg, Ack):
+                step = ReportStep.RETRY
+            if step is ReportStep.DONE:
                 return RoundOutcome.REPORTED
-            if isinstance(msg, Reject) and msg.reason == "DUP":
-                # an earlier attempt landed; the counter already has us
-                return RoundOutcome.REPORTED
-            if isinstance(msg, Reject) and msg.reason == "EARLY":
-                self.clock.sleep_ms(self.options.retry_ms)
-                continue
-            return RoundOutcome.FAILED
+            if step is ReportStep.GIVE_UP:
+                return RoundOutcome.FAILED
+            self.clock.sleep_ms(self.options.retry_ms)
         return RoundOutcome.FAILED
 
     def _offer_survey(self, forced_obstacle: bool) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import socketserver
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -32,6 +32,8 @@ from .protocol import (
     Survey,
     SyncRequest,
     SyncResponse,
+    _parse_ms,
+    _parse_round,
     decode_message,
     derive_token,
     encode_message,
@@ -74,37 +76,70 @@ class LogEvent:
 
 def parse_log_line(line: str) -> LogEvent:
     parts = line.split(" ", 2)
-    if len(parts) != 3 or not parts[0].lstrip("-").isdigit() or parts[1] not in _TAGS:
-        raise CounterError(f"corrupt log line: {line!r}")
-    return LogEvent(int(parts[0]), parts[1], parts[2])
+    if len(parts) == 3 and parts[1] in _TAGS:
+        try:
+            return LogEvent(_parse_ms(parts[0]), parts[1], parts[2])
+        except ValueError:  # MalformedLine, or too many digits for int()
+            pass
+    raise CounterError(f"corrupt log line: {line!r}")
 
 
 def read_log(path: str | Path) -> list[LogEvent]:
-    """Read a counter log, discarding a torn trailing line from a crash."""
+    """Read a counter log, discarding a torn trailing line from a crash.
+
+    Lines end at "\n" only: a logged REJECT keeps whatever other line breaks
+    (U+2028, \x85, \r, ...) the offending request carried.
+    """
     data = Path(path).read_bytes()
-    if not data:
-        return []
-    complete, _, tail = data.rpartition(b"\n")
     # bytes after the final newline were never acknowledged; drop them
-    text = complete.decode("utf-8")
-    del tail
-    return [parse_log_line(line) for line in text.splitlines()]
+    complete = data[: data.rfind(b"\n") + 1]
+    try:
+        text = complete.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CounterError(f"log is not UTF-8: {exc}") from exc
+    return [parse_log_line(line) for line in text.split("\n")[:-1]]
+
+
+def _drop_torn_tail(path: str | Path) -> None:
+    """Truncate the file to its last newline, so the next append starts a line.
+
+    A torn tail is part of one line, so the search usually ends in the first
+    block read backwards from the end.
+    """
+    with open(path, "a+b") as fh:
+        size = keep = fh.seek(0, os.SEEK_END)
+        while keep > 0:
+            start = max(0, keep - MAX_LINE_BYTES)
+            fh.seek(start)
+            newline = fh.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep < size:
+            fh.truncate(keep)
 
 
 class EventLog:
-    """Append-only sink; an append is durable before the caller proceeds."""
+    """Append-only sink; an append is durable before the caller proceeds.
+
+    With a path, lines go to that file only; without one (the simulator's
+    in-memory log) they are kept in `lines`.
+    """
 
     def __init__(self, path: str | Path | None = None, fsync: bool = True) -> None:
         self.lines: list[str] = []
         self._fsync = fsync
         self._fh: IO[str] | None = None
         if path is not None:
+            _drop_torn_tail(path)
             self._fh = open(path, "a", encoding="utf-8")
 
     def append(self, arrival_ms: int, tag: str, raw: str) -> str:
         line = f"{arrival_ms} {tag} {raw}"
-        self.lines.append(line)
-        if self._fh is not None:
+        if self._fh is None:
+            self.lines.append(line)
+        else:
             self._fh.write(line + "\n")
             self._fh.flush()
             if self._fsync:
@@ -222,44 +257,69 @@ class CounterCore:
         return counts, exe.count if exe.closed else None
 
 
+@dataclass
+class _LogContent:
+    """What a log records, before any config or completeness check."""
+
+    seen: set[tuple[RoundRef, str]] = field(default_factory=set)
+    counts: dict[RoundRef, int] = field(default_factory=dict)
+    closed: set[RoundRef] = field(default_factory=set)
+    surveys: list[Survey] = field(default_factory=list)
+
+
+def _interpret_log(events: Iterable[LogEvent]) -> _LogContent:
+    """The one reading of a counter log, shared by restart and `analyze`.
+
+    An ACCEPT must hold a report and no (round, nonce) pair may be accepted
+    twice; a SURVEY must hold a survey; a CLOSE must name a round in the wire
+    grammar; a REJECT never changed state and is skipped. Anything else makes
+    the log corrupt and raises CounterError.
+    """
+    content = _LogContent()
+    for event in events:
+        if event.tag == TAG_REJECT:
+            continue
+        try:
+            if event.tag == TAG_CLOSE:
+                kind, _, index = event.raw.partition(" ")
+                content.closed.add(_parse_round(kind, index))
+                continue
+            msg = decode_message(event.raw)
+        except ValueError as exc:  # MalformedLine, or an index too long for int()
+            raise CounterError(f"corrupt {event.tag} event: {event.raw!r}") from exc
+        if event.tag == TAG_ACCEPT and isinstance(msg, Report):
+            key = (msg.round, msg.nonce)
+            if key in content.seen:
+                raise CounterError(f"log accepts {key} twice")
+            content.seen.add(key)
+            content.counts[msg.round] = content.counts.get(msg.round, 0) + 1
+        elif event.tag == TAG_SURVEY and isinstance(msg, Survey):
+            content.surveys.append(msg)
+        else:
+            raise CounterError(f"corrupt {event.tag} event: {event.raw!r}")
+    return content
+
+
 def replay_events(
     config: ExperimentConfig, events: Iterable[LogEvent], log: EventLog | None = None
 ) -> CounterCore:
     """Rebuild counter state from logged events.
 
     The log is authoritative: recorded outcomes are applied, not re-decided.
-    Inconsistent events (an ACCEPT duplicating a seen pair, an unknown round)
-    mean the log does not belong to this config and raise CounterError.
+    A corrupt log, or one naming a round this config does not schedule, does
+    not belong to this config and raises CounterError.
     """
+    content = _interpret_log(events)
+    for round in (*content.counts, *content.closed):
+        if not config.has_round(round):
+            raise CounterError(f"log names round {round.wire()}, which the config lacks")
     core = CounterCore(config, log=log)
-    for event in events:
-        if event.tag == TAG_ACCEPT:
-            try:
-                msg = decode_message(event.raw)
-            except MalformedLine as exc:
-                raise CounterError(f"corrupt ACCEPT event: {event.raw!r}") from exc
-            if not isinstance(msg, Report) or not config.has_round(msg.round):
-                raise CounterError(f"ACCEPT event is not a valid report: {event.raw!r}")
-            key = (msg.round, msg.nonce)
-            if key in core.seen:
-                raise CounterError(f"log accepts {key} twice")
-            core.seen.add(key)
-            core.tallies[msg.round].count += 1
-        elif event.tag == TAG_SURVEY:
-            msg = decode_message(event.raw)
-            if not isinstance(msg, Survey):
-                raise CounterError(f"SURVEY event is not a survey: {event.raw!r}")
-            core.surveys.append(msg)
-        elif event.tag == TAG_CLOSE:
-            kind, _, index = event.raw.partition(" ")
-            try:
-                round = RoundRef(kind, int(index))
-            except ValueError as exc:
-                raise CounterError(f"corrupt CLOSE event: {event.raw!r}") from exc
-            if round not in core.tallies:
-                raise CounterError(f"CLOSE event for unknown round: {event.raw!r}")
-            core.tallies[round].closed = True
-        # REJECT events never mutated state; nothing to apply
+    core.seen = content.seen
+    core.surveys = content.surveys
+    for round, count in content.counts.items():
+        core.tallies[round].count = count
+    for round in content.closed:
+        core.tallies[round].closed = True
     return core
 
 
@@ -278,31 +338,17 @@ def log_distribution(events: Iterable[LogEvent]) -> tuple[list[int], int]:
     Requires every calibration round 0..n-1 and the execution round closed;
     n is inferred from the CLOSE events.
     """
-    counts: dict[RoundRef, int] = {}
-    seen: set[tuple[RoundRef, str]] = set()
-    closed: set[RoundRef] = set()
-    for event in events:
-        if event.tag == TAG_ACCEPT:
-            msg = decode_message(event.raw)
-            if not isinstance(msg, Report):
-                raise CounterError(f"ACCEPT event is not a report: {event.raw!r}")
-            key = (msg.round, msg.nonce)
-            if key in seen:
-                raise CounterError(f"log accepts {key} twice")
-            seen.add(key)
-            counts[msg.round] = counts.get(msg.round, 0) + 1
-        elif event.tag == TAG_CLOSE:
-            kind, _, index = event.raw.partition(" ")
-            closed.add(RoundRef(kind, int(index)))
+    content = _interpret_log(events)
+    closed = content.closed
     cal_indices = sorted(r.index for r in closed if not r.is_execution)
     if not cal_indices or cal_indices != list(range(cal_indices[-1] + 1)):
         raise CounterError("log is incomplete: not every calibration round is closed")
     if RoundRef.exe() not in closed:
         raise CounterError("log is incomplete: the execution round is not closed")
-    if any(r not in closed for r in counts):
+    if any(r not in closed for r in content.counts):
         raise CounterError("log accepts reports for a round that never closed")
-    cal_counts = [counts.get(RoundRef.cal(i), 0) for i in cal_indices]
-    return cal_counts, counts.get(RoundRef.exe(), 0)
+    cal_counts = [content.counts.get(RoundRef.cal(i), 0) for i in cal_indices]
+    return cal_counts, content.counts.get(RoundRef.exe(), 0)
 
 
 # --- TCP service -------------------------------------------------------------

@@ -3,9 +3,10 @@
 A virtual millisecond clock drives M scripted clients, one in-process counter
 (the real tally code), and a virtual network with uniform latency, optional
 loss, per-direction asymmetry and fault injection. Clients synchronize their
-clocks through real SYNC exchanges, derive real tokens, and retry reports
-exactly like the live client, so the simulation validates the end-to-end
-protocol and measures the decision rule.
+clocks through real SYNC exchanges, derive real tokens, and judge every
+answer with the live client's own functions (`report_step`, `sync_sample`),
+so the simulation validates the end-to-end protocol and measures the
+decision rule.
 
 Coping is modeled purely as participation suppression: at the execution round
 a COPING scenario multiplies the participation probability by (1 - delta).
@@ -24,20 +25,9 @@ from typing import Callable
 import numpy as np
 
 from . import stats
-from .client import UptimeRecord, certify_shutdown
+from .client import ReportStep, UptimeRecord, certify_shutdown, report_step, sync_sample
 from .counter import CounterCore
-from .protocol import (
-    Ack,
-    ExperimentConfig,
-    MalformedLine,
-    Reject,
-    Report,
-    RoundRef,
-    SyncResponse,
-    decode_message,
-    derive_token,
-    encode_message,
-)
+from .protocol import ExperimentConfig, Report, RoundRef, derive_token, encode_message
 from .timesync import ClockSyncError, SyncSample, best_estimate
 
 DEFENSE = "DEFENSE"
@@ -254,8 +244,7 @@ class SimClient:
         self.offset_est: int | None = None if self.synced else 0
         self._sync_samples: list[SyncSample] = []
         self._sync_attempts = 0
-        self._acked: dict[RoundRef, bool] = {}
-        self._gave_up: dict[RoundRef, bool] = {}
+        self._settled: set[RoundRef] = set()  # acknowledged or given up
 
     # clock conversions ----------------------------------------------------
 
@@ -287,18 +276,10 @@ class SimClient:
         def on_response(line: str) -> None:
             if len(self._sync_samples) != expected or self.offset_est is not None:
                 return  # a retry already completed this exchange
-            try:
-                msg = decode_message(line)
-            except MalformedLine:
+            sample = sync_sample(line, t1, self._local_now())
+            if sample is None:
                 return
-            if not isinstance(msg, SyncResponse) or msg.t1 != t1:
-                return
-            try:
-                self._sync_samples.append(
-                    SyncSample(t1=t1, t2=msg.t2, t3=msg.t3, t4=self._local_now())
-                )
-            except ValueError:
-                return
+            self._sync_samples.append(sample)
             self._sync_step()
 
         self.sim.net.request(f"SYNC {t1}", on_response)
@@ -357,31 +338,26 @@ class SimClient:
             self._try_send(round)
 
     def _try_send(self, round: RoundRef) -> None:
-        if self._acked.get(round) or self._gave_up.get(round):
+        if round in self._settled:
             return
         config = self.sim.spec.config
         if self._est_counter_now() > config.window_close(round):
-            self._gave_up[round] = True
+            self._settled.add(round)
             return
         line = encode_message(
             Report(round, self.nonce, derive_token(config.secret, round))
         )
 
         def on_response(response: str) -> None:
-            if self._acked.get(round) or self._gave_up.get(round):
+            if round in self._settled:
                 return
-            try:
-                msg = decode_message(response)
-            except MalformedLine:
-                return
-            if isinstance(msg, Ack) or (isinstance(msg, Reject) and msg.reason == "DUP"):
-                self._acked[round] = True
-            elif isinstance(msg, Reject) and msg.reason == "EARLY":
+            step = report_step(response)
+            if step is ReportStep.RETRY:
                 self.sim.loop.schedule(
                     self.sim.loop.now + self.sim.spec.retry_ms, lambda: self._try_send(round)
                 )
-            elif isinstance(msg, Reject):
-                self._gave_up[round] = True
+            else:
+                self._settled.add(round)
 
         self.sim.net.request(line, on_response)
         if self.sim.net_can_drop:

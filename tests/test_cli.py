@@ -84,6 +84,40 @@ class TestAnalyze:
         assert main(["analyze", "--log", str(tmp_path / "none.log")]) == EXIT_ERROR
 
 
+# one corrupt event each: restart and `analyze` must both refuse the log
+CORRUPT_EVENTS = ["CLOSE CAL x", "CLOSE EXE 5", "SURVEY garbage", "ACCEPT garbage"]
+
+
+def write_corrupt_log(path, event):
+    write_log(path, [5, 6], 2)
+    with path.open("a") as fh:
+        fh.write(f"99 {event}\n")
+
+
+@pytest.mark.parametrize("event", CORRUPT_EVENTS)
+def test_analyze_corrupt_log_is_an_error(tmp_path, capsys, event):
+    log = tmp_path / "corrupt.log"
+    write_corrupt_log(log, event)
+    assert main(["analyze", "--log", str(log)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: corrupt ")
+
+
+@pytest.mark.parametrize("event", CORRUPT_EVENTS)
+def test_counter_refuses_corrupt_log(tmp_path, event):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(format_config(make_config(secret="s3cret")))
+    log = tmp_path / "corrupt.log"
+    write_corrupt_log(log, event)
+    done = subprocess.run(
+        [sys.executable, "-m", "rollcall.cli", "counter", "--listen", "127.0.0.1:0",
+         "--config", str(conf), "--log", str(log)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr.startswith("error: corrupt ")
+    assert "Traceback" not in done.stderr
+
+
 class TestSimulateAndPower:
     def test_simulate_emits_table_and_analyzable_log(self, tmp_path, capsys):
         log_out = tmp_path / "sim.log"

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rollcall import client as client_mod
 from rollcall.client import (
     ActivityEvent,
     ClientError,
     ClientOptions,
     ClientRunner,
+    ReportStep,
     RoundOutcome,
     TransportError,
     UptimeRecord,
@@ -16,8 +18,10 @@ from rollcall.client import (
     parse_activity_text,
     parse_uptime_text,
     records_well_formed,
+    report_step,
     run_survey,
     sync_clock,
+    sync_sample,
     uptime_from_file,
 )
 from rollcall.counter import CounterCore
@@ -177,6 +181,45 @@ class TestSyncAndSurvey:
         assert len(transport.requests) == 3
 
 
+class TestExchangePolicy:
+    @pytest.mark.parametrize("response, step", [
+        ("ACK CAL 0", ReportStep.DONE),
+        ("ACK EXE 0", ReportStep.DONE),
+        ("REJ DUP", ReportStep.DONE),
+        ("REJ EARLY", ReportStep.RETRY),
+        ("", ReportStep.RETRY),
+        ("ACK CAL", ReportStep.RETRY),
+        ("REJ SOON", ReportStep.RETRY),
+        ("garbage \u2028 line", ReportStep.RETRY),
+        ("REJ LATE", ReportStep.GIVE_UP),
+        ("REJ BADTOKEN", ReportStep.GIVE_UP),
+        ("REJ BADROUND", ReportStep.GIVE_UP),
+        ("REJ MALFORMED", ReportStep.GIVE_UP),
+        ("SYNCR 1 2 3", ReportStep.GIVE_UP),
+        ("SYNC 1", ReportStep.GIVE_UP),
+        ("SURVEY abcdefgh FORGOT -", ReportStep.GIVE_UP),
+        ("REPORT CAL 0 abcdefgh " + "0" * 32, ReportStep.GIVE_UP),
+    ])
+    def test_report_step(self, response, step):
+        assert report_step(response) is step
+
+    @pytest.mark.parametrize("response, expected", [
+        ("SYNCR 10 50 52 ", None),
+        ("SYNCR 10 50 52", (10, 50, 52, 20)),
+        ("SYNCR 11 50 52", None),  # answers another exchange
+        ("SYNCR 10 52 50", None),  # server send before receive
+        ("ACK CAL 0", None),
+        ("garbage", None),
+    ])
+    def test_sync_sample(self, response, expected):
+        sample = sync_sample(response, 10, 20)
+        got = None if sample is None else (sample.t1, sample.t2, sample.t3, sample.t4)
+        assert got == expected
+
+    def test_sync_sample_rejects_receive_before_send(self):
+        assert sync_sample("SYNCR 10 50 52", 10, 9) is None
+
+
 def make_runner(config, core, clock, *, consent=None, activity=None, uptime=None,
                 drop=None, survey=None, nonce="itest-nonce"):
     transport = LoopbackTransport(core, clock, drop=drop)
@@ -277,6 +320,25 @@ class TestRunnerLifecycle:
                               lambda s, e: [], full_uptime(config), options=options)
         outcomes = runner.run()
         assert outcomes[RoundRef.cal(0)] == RoundOutcome.REPORTED
+        assert core.tallies[RoundRef.cal(0)].count == 1
+
+    def test_early_answer_is_retried(self, config, monkeypatch):
+        clock = FakeClock(start_ms=config.epoch_ms - 10_000)
+        core = CounterCore(config)
+        answers = []
+        monkeypatch.setattr(
+            client_mod, "report_step", lambda r: answers.append(r) or report_step(r)
+        )
+        runner, transport = make_runner(config, core, clock, uptime=full_uptime(config))
+        forward = transport.request
+        early = ["REJ EARLY"]  # the first report finds the window not yet open
+        transport.request = lambda line: (
+            early.pop() if line.startswith("REPORT") and early else forward(line)
+        )
+        outcomes = runner.run()
+        assert all(v == RoundOutcome.REPORTED for v in outcomes.values())
+        assert answers == ["REJ EARLY", "ACK CAL 0", "ACK CAL 1", "ACK CAL 2", "ACK EXE 0"]
+        assert 100 in clock.sleeps  # retry_ms before the second attempt
         assert core.tallies[RoundRef.cal(0)].count == 1
 
     def test_sync_unreachable_raises_client_error(self, config):

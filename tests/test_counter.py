@@ -1,5 +1,7 @@
 import socket
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +270,178 @@ class TestLogFiles:
         events = [parse_log_line(line) for line in core.log.lines]
         with pytest.raises(CounterError, match="incomplete"):
             log_distribution(events)
+
+
+def finished_log_lines(config, accepts):
+    """A finished log: ACCEPTs for (round, nonce) pairs, then every CLOSE."""
+    lines = [
+        f"{t} ACCEPT {encode_message(report_for(config, round, nonce))}"
+        for t, (round, nonce) in enumerate(accepts)
+    ]
+    end = config.window_close(RoundRef.exe()) + 1
+    return lines + [f"{end} CLOSE {r.wire()}" for r in config.rounds()]
+
+
+def write_lines(path, lines):
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def interpretations(config, path):
+    """What restart and `analyze` each make of a log file: counts or an error."""
+
+    def outcome(read):
+        try:
+            return read()
+        except CounterError:
+            return CounterError
+
+    restarted = outcome(lambda: replay_events(config, read_log(path)).distribution())
+    analyzed = outcome(lambda: log_distribution(read_log(path)))
+    return restarted, analyzed
+
+
+# events that make a log corrupt, each as "<TAG> <payload>"
+CORRUPT_EVENTS = [
+    "CLOSE CAL x",
+    "CLOSE EXE 5",
+    "CLOSE CAL  1",
+    "CLOSE CAL +1",
+    "CLOSE CAL 1_0",
+    "CLOSE CAL 1 extra",
+    pytest.param("CLOSE CAL " + "9" * 5000, id="CLOSE CAL <5000 digits>"),
+    "SURVEY garbage",
+    "SURVEY ACK CAL 0",
+    "ACCEPT garbage",
+    "ACCEPT SURVEY nonce-01 FORGOT -",
+]
+CORRUPT_EVENT_TEXTS = [e if isinstance(e, str) else e.values[0] for e in CORRUPT_EVENTS]
+# REJECT payloads holding line breaks other than "\n"
+HOSTILE_PAYLOADS = ["abc\u2028def", "abc\x85def", "abc\x1cdef", "abc\x1ddef", "abc\x1edef",
+                    "abc\rdef", "abc\u2029def"]
+
+
+class TestLogInterpreter:
+    @pytest.mark.parametrize("event", CORRUPT_EVENTS)
+    def test_corrupt_event_rejected_by_restart_and_analyze(self, tmp_path, config, event):
+        path = tmp_path / "counter.log"
+        lines = finished_log_lines(config, [(RoundRef.cal(0), "nonce-01")])
+        write_lines(path, [lines[0], f"7 {event}", *lines[1:]])
+        assert interpretations(config, path) == (CounterError, CounterError)
+
+    @pytest.mark.parametrize("line", ["", "7 ACCEPT", "x CLOSE CAL 0", "-- CLOSE CAL 0",
+                                      "\u00b2 CLOSE CAL 0", "07 CLOSE CAL 0", "7 OPEN CAL 0"])
+    def test_corrupt_line_rejected(self, line):
+        with pytest.raises(CounterError, match="corrupt log line"):
+            parse_log_line(line)
+
+    def test_log_that_is_not_utf8(self, tmp_path, config):
+        path = tmp_path / "counter.log"
+        path.write_bytes(b"7 REJECT \xff\n")
+        assert interpretations(config, path) == (CounterError, CounterError)
+
+    def test_round_outside_config_fails_restart_only(self, tmp_path, config):
+        # the one check that needs the config; the log itself is well formed
+        path = tmp_path / "counter.log"
+        bigger = make_config(n_rounds=config.n_rounds + 1)
+        write_lines(path, finished_log_lines(bigger, [(RoundRef.cal(3), "nonce-01")]))
+        with pytest.raises(CounterError, match="CAL 3"):
+            replay_events(config, read_log(path))
+        assert log_distribution(read_log(path)) == ([0, 0, 0, 1], 0)
+
+    @pytest.mark.parametrize("payload", HOSTILE_PAYLOADS)
+    def test_hostile_request_does_not_poison_restarts(self, tmp_path, config, payload):
+        path = tmp_path / "counter.log"
+        r0 = RoundRef.cal(0)
+        at = config.window_open(r0)
+        core = replay_log_file(config, path, fsync=False)
+        assert core.handle_line(f"REPORT CAL 0 {payload}", at) == "REJ MALFORMED"
+        core.accept_report(report_for(config, r0, "nonce-01"), at)
+        core.log.close()
+        for _ in range(2):
+            core = replay_log_file(config, path, fsync=False)
+            core.accept_report(report_for(config, r0, "nonce-02"), at)
+            core.log.close()
+        events = read_log(path)
+        assert [e.raw for e in events if e.tag == "REJECT"][0] == f"REPORT CAL 0 {payload}"
+        assert core.tallies[r0].count == 2
+
+    def test_torn_tail_is_truncated_before_appending(self, tmp_path, config):
+        path = tmp_path / "counter.log"
+        r0 = RoundRef.cal(0)
+        at = config.window_open(r0)
+        write_lines(path, finished_log_lines(config, [(r0, "nonce-01")])[:1])
+        with path.open("ab") as fh:
+            fh.write(b"101 ACCEPT REPORT CAL 0 non")  # crash mid-write
+        core = replay_log_file(config, path, fsync=False)
+        assert core.accept_report(report_for(config, r0, "nonce-02"), at) == Ack(r0)
+        core.log.close()
+        assert path.read_bytes().count(b"non") == 2  # the torn bytes are gone
+        again = replay_log_file(config, path, fsync=False)
+        again.log.close()
+        assert again.seen == {(r0, "nonce-01"), (r0, "nonce-02")}
+
+    def test_log_without_any_newline_is_all_torn(self, tmp_path, config):
+        path = tmp_path / "counter.log"
+        path.write_bytes(b"x" * (3 * 8192 + 5))
+        assert read_log(path) == []
+        core = replay_log_file(config, path, fsync=False)
+        core.handle_line("garbage", 5)
+        core.log.close()
+        assert path.read_bytes() == b"5 REJECT garbage\n"
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 4), nonce_st).map(lambda a: ("accept", *a)),
+                st.sampled_from(CORRUPT_EVENT_TEXTS).map(lambda e: ("event", e)),
+                st.sampled_from(HOSTILE_PAYLOADS).map(lambda p: ("event", f"REJECT {p}")),
+                st.text(max_size=30).map(lambda t: ("event", f"REJECT {t}")),
+                st.text(max_size=30).map(lambda t: ("line", t)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_restart_and_analyze_agree(self, entries):
+        # round index 4 lies outside the 3-round config: both must refuse it
+        config = make_config()
+        lines = []
+        for entry in entries:
+            if entry[0] == "accept":
+                _, idx, nonce = entry
+                round = RoundRef.exe() if idx == 3 else RoundRef.cal(idx)
+                lines.append(f"1 ACCEPT {encode_message(report_for(config, round, nonce))}")
+            elif entry[0] == "event":
+                lines.append(f"1 {entry[1]}")
+            else:
+                lines.append(entry[1].replace("\n", " "))
+        lines += finished_log_lines(config, [])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counter.log"
+            write_lines(path, lines)
+            restarted, analyzed = interpretations(config, path)
+        assert restarted == analyzed
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.text(max_size=40).map(lambda t: t.replace("\n", "")), max_size=10))
+    def test_any_request_lines_replay_to_identical_state(self, requests):
+        config = make_config()
+        r0 = RoundRef.cal(0)
+        at = config.window_open(r0)
+        token = derive_token(config.secret, r0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counter.log"
+            core = CounterCore(config, EventLog(path, fsync=False))
+            for i, line in enumerate(requests):
+                core.handle_line(line, at)
+                core.handle_line(f"REPORT CAL 0 nonce-{i:03d} {token}", at)
+            core.log.close()
+            replayed = replay_log_file(config, path, attach=False)
+        assert replayed.seen == core.seen
+        assert replayed.surveys == core.surveys
+        assert {r: t.count for r, t in replayed.tallies.items()} == {
+            r: t.count for r, t in core.tallies.items()
+        }
 
 
 class TestService:

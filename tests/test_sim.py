@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rollcall import stats
+from rollcall import sim, stats
+from rollcall.client import report_step, sync_sample
 from rollcall.counter import parse_log_line, log_distribution
 from rollcall.sim import (
     COPING,
@@ -164,6 +165,25 @@ class TestFaults:
         net = NetModel(min_latency_ms=30, max_latency_ms=30, asym_up_ms=200)
         out = run_scenario(small_spec(net=net))
         assert all(offset == 100 for offset in out.sync_offsets.values())
+
+
+class TestSharedClientPolicy:
+    def test_every_answer_goes_through_the_client_policy(self, monkeypatch):
+        # sending before the window opens draws real EARLY rejects to retry
+        spec = small_spec(send_margin_ms=-100, send_jitter_ms=0)
+        reports, syncs = [], []
+        monkeypatch.setattr(sim, "report_step", lambda r: reports.append(r) or report_step(r))
+        monkeypatch.setattr(
+            sim, "sync_sample", lambda r, t1, t4: syncs.append(r) or sync_sample(r, t1, t4)
+        )
+        early = run_scenario(spec)
+        replies = [line.split(" ", 2)[2] for line in early.event_trace if line.split()[1] == "REPLY"]
+        assert reports == [r for r in replies if not r.startswith("SYNCR ")]
+        assert syncs == [r for r in replies if r.startswith("SYNCR ")]
+        assert "REJ EARLY" in reports
+        clean = run_scenario(replace(spec, send_margin_ms=30))
+        assert early.counts == clean.counts
+        assert early.n_star == clean.n_star
 
 
 class TestBatches:
