@@ -193,6 +193,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: log file not found: {args.log}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:
+        print(f"error: cannot read log {args.log}: {exc.strerror}", file=sys.stderr)
+        return EXIT_ERROR
     except counter_mod.CounterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

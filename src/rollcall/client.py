@@ -29,6 +29,8 @@ from .protocol import (
     RoundRef,
     Survey,
     SyncResponse,
+    _parse_int,
+    _parse_lines,
     decode_message,
     derive_token,
     encode_message,
@@ -44,6 +46,7 @@ from .timesync import (
 
 DEFAULT_PROMPT_LEAD_MS = 120_000
 DEFAULT_START_TOL_MS = 60_000
+SYNC_ATTEMPTS = 5
 
 
 class ClientError(RuntimeError):
@@ -222,33 +225,19 @@ def certify_shutdown(
 
 def parse_activity_text(text: str) -> list[ActivityEvent]:
     """One integer millisecond timestamp per line; blanks and # comments skipped."""
-    events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            events.append(ActivityEvent(int(line)))
-        except ValueError as exc:
-            raise ValueError(f"activity file line {lineno}: {raw!r}") from exc
-    return events
+    return _parse_lines(
+        text, lambda line: ActivityEvent(_parse_int(line)), ValueError, "activity file"
+    )
+
+
+def _uptime_record(line: str) -> UptimeRecord:
+    kind, timestamp = line.split()
+    return UptimeRecord(kind, _parse_int(timestamp))
 
 
 def parse_uptime_text(text: str) -> list[UptimeRecord]:
     """Lines of `DOWN <ms>` / `UP <ms>`; blanks and # comments skipped."""
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("DOWN", "UP"):
-            raise ValueError(f"uptime file line {lineno}: {raw!r}")
-        try:
-            records.append(UptimeRecord(parts[0], int(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"uptime file line {lineno}: {raw!r}") from exc
-    return records
+    return _parse_lines(text, _uptime_record, ValueError, "uptime file")
 
 
 def activity_from_file(path: str | Path) -> Callable[[int, int], list[ActivityEvent]]:
@@ -368,10 +357,8 @@ class ClientOptions:
     prompt_lead_ms: int = DEFAULT_PROMPT_LEAD_MS
     start_tol_ms: int = DEFAULT_START_TOL_MS
     sync_samples: int = 8
-    sync_attempts: int = 5
     retry_ms: int = 500
     send_margin_ms: int = 50
-    survey_retries: int = 3
 
 
 class ClientRunner:
@@ -436,7 +423,7 @@ class ClientRunner:
     def _ensure_synced(self) -> None:
         if self._estimate is not None:
             return
-        for _ in range(self.options.sync_attempts):
+        for _ in range(SYNC_ATTEMPTS):
             if self._sync():
                 assert self._estimate is not None
                 self.notify(f"clock offset {self._estimate.offset_ms} ms")
@@ -531,9 +518,7 @@ class ClientRunner:
         if answer is None:
             return
         code, text = answer
-        sent = run_survey(
-            TracedTransport(self), self.options.nonce, code, text, self.options.survey_retries
-        )
+        sent = run_survey(TracedTransport(self), self.options.nonce, code, text)
         self.notify(f"survey {code}: {'sent' if sent else 'dropped'}")
 
 

@@ -32,7 +32,7 @@ from .protocol import (
     Survey,
     SyncRequest,
     SyncResponse,
-    _parse_ms,
+    _parse_int,
     _parse_round,
     decode_message,
     derive_token,
@@ -40,7 +40,8 @@ from .protocol import (
 )
 from .timesync import Clock, SystemClock
 
-MAX_LINE_BYTES = 8192
+MAX_LINE_BYTES = 8192  # longest request line, without its "\n"
+CLOSE_POLL_S = 0.2
 
 TAG_ACCEPT = "ACCEPT"
 TAG_REJECT = "REJECT"
@@ -70,16 +71,13 @@ class LogEvent:
     tag: str
     raw: str
 
-    def line(self) -> str:
-        return f"{self.arrival_ms} {self.tag} {self.raw}"
-
 
 def parse_log_line(line: str) -> LogEvent:
     parts = line.split(" ", 2)
     if len(parts) == 3 and parts[1] in _TAGS:
         try:
-            return LogEvent(_parse_ms(parts[0]), parts[1], parts[2])
-        except ValueError:  # MalformedLine, or too many digits for int()
+            return LogEvent(_parse_int(parts[0]), parts[1], parts[2])
+        except ValueError:
             pass
     raise CounterError(f"corrupt log line: {line!r}")
 
@@ -203,8 +201,7 @@ class CounterCore:
         try:
             msg = decode_message(line)
         except MalformedLine:
-            self.log.append(arrival_ms, TAG_REJECT, line)
-            return encode_message(Reject("MALFORMED"))
+            return self._reject_malformed(line, arrival_ms)
         if isinstance(msg, SyncRequest):
             t3 = arrival_ms if send_ms is None else send_ms
             return encode_message(SyncResponse(msg.t1, arrival_ms, t3))
@@ -213,6 +210,9 @@ class CounterCore:
         if isinstance(msg, Survey):
             return encode_message(self.accept_survey(msg, arrival_ms))
         # a syntactically valid line that is not a client-to-counter message
+        return self._reject_malformed(line, arrival_ms)
+
+    def _reject_malformed(self, line: str, arrival_ms: int) -> str:
         self.log.append(arrival_ms, TAG_REJECT, line)
         return encode_message(Reject("MALFORMED"))
 
@@ -285,7 +285,7 @@ def _interpret_log(events: Iterable[LogEvent]) -> _LogContent:
                 content.closed.add(_parse_round(kind, index))
                 continue
             msg = decode_message(event.raw)
-        except ValueError as exc:  # MalformedLine, or an index too long for int()
+        except ValueError as exc:
             raise CounterError(f"corrupt {event.tag} event: {event.raw!r}") from exc
         if event.tag == TAG_ACCEPT and isinstance(msg, Report):
             key = (msg.round, msg.nonce)
@@ -358,14 +358,21 @@ class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         service: CounterService = self.server.service  # type: ignore[attr-defined]
         while True:
-            raw = self.rfile.readline(MAX_LINE_BYTES)
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not raw:
                 return
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError:
-                line = ""
-            response = service.handle(line)
+            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                # one answer per line: skip the rest, and never decode a prefix
+                rest = raw
+                while rest and not rest.endswith(b"\n"):
+                    rest = self.rfile.readline(MAX_LINE_BYTES)
+                response = service.reject_overlong(raw[:MAX_LINE_BYTES])
+            else:
+                try:
+                    line = raw.decode("utf-8").rstrip("\r\n")
+                except UnicodeDecodeError:
+                    line = ""
+                response = service.handle(line)
             try:
                 self.wfile.write(response.encode("utf-8") + b"\n")
                 self.wfile.flush()
@@ -394,15 +401,16 @@ class CounterService:
         fsync: bool = True,
         clock: Clock | None = None,
         until_complete: bool = False,
-        close_poll_ms: int = 200,
     ) -> None:
         self.config = config
         self.clock = clock if clock is not None else SystemClock()
         self._lock = threading.Lock()
         self._until_complete = until_complete
-        self._close_poll_ms = close_poll_ms
         if log_path is not None:
-            self.core = replay_log_file(config, log_path, attach=True, fsync=fsync)
+            try:
+                self.core = replay_log_file(config, log_path, attach=True, fsync=fsync)
+            except OSError as exc:
+                raise CounterError(f"cannot open log {log_path}: {exc}") from exc
         else:
             self.core = CounterCore(config)
         self._server = _Server(address, _LineHandler)
@@ -421,6 +429,13 @@ class CounterService:
             self.core.close_due(arrival)
             return self.core.handle_line(line, arrival, send_ms=self.clock.now_ms())
 
+    def reject_overlong(self, head: bytes) -> str:
+        """Answer a request line longer than MAX_LINE_BYTES; only `head` is logged."""
+        arrival = self.clock.now_ms()
+        with self._lock:
+            self.core.close_due(arrival)
+            return self.core._reject_malformed(head.decode("utf-8", "ignore"), arrival)
+
     def snapshot_distribution(self) -> tuple[list[int], int | None]:
         """Consistent read of the tallies, closing whatever is already due."""
         with self._lock:
@@ -428,7 +443,7 @@ class CounterService:
             return self.core.distribution()
 
     def _close_loop(self) -> None:
-        while not self._stopping.wait(self._close_poll_ms / 1000.0):
+        while not self._stopping.wait(CLOSE_POLL_S):
             with self._lock:
                 self.core.close_due(self.clock.now_ms())
                 done = self.core.all_closed()

@@ -11,12 +11,12 @@ distribution step.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable, TypeVar, get_type_hints
 
 CAL = "CAL"
 EXE = "EXE"
@@ -25,14 +25,12 @@ REJECT_REASONS = frozenset({"BADTOKEN", "EARLY", "LATE", "DUP", "BADROUND", "MAL
 SURVEY_CODES = frozenset({"FORGOT", "OBSTACLE", "CHANGED_MIND", "INTERFERENCE", "OTHER"})
 
 TOKEN_HEX_LEN = 32
-NONCE_MIN_LEN = 8
-NONCE_MAX_LEN = 64
 
-_TOKEN_RE = re.compile(r"^[0-9a-f]{32}$")
-_NONCE_RE = re.compile(r"^\S{8,64}$")
-_UINT_RE = re.compile(r"^(?:0|[1-9][0-9]*)$")
-_INT_RE = re.compile(r"^-?(?:0|[1-9][0-9]*)$")
-_NO_WS_RE = re.compile(r"^\S+$")
+# every pattern is applied with fullmatch: `$` would also match before a final "\n"
+_TOKEN_RE = re.compile(r"[0-9a-f]{32}")
+_NONCE_RE = re.compile(r"\S{8,64}")
+_INT_RE = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_NO_WS_RE = re.compile(r"\S+")
 
 
 class ProtocolError(ValueError):
@@ -98,9 +96,9 @@ class ExperimentConfig:
     grace_ms: int = 300_000
 
     def __post_init__(self) -> None:
-        if not _NO_WS_RE.match(self.experiment_id):
+        if not _NO_WS_RE.fullmatch(self.experiment_id):
             raise ConfigError("experiment_id must be non-empty without whitespace")
-        if not _NO_WS_RE.match(self.secret):
+        if not _NO_WS_RE.fullmatch(self.secret):
             raise ConfigError("secret must be non-empty without whitespace")
         if self.n_rounds < 2:
             raise ConfigError("n_rounds must be at least 2 (spread is undefined otherwise)")
@@ -143,6 +141,11 @@ class ExperimentConfig:
 # --- messages ---------------------------------------------------------------
 
 
+def _check_nonce(nonce: str) -> None:
+    if not _NONCE_RE.fullmatch(nonce):
+        raise ValueError("nonce must be 8-64 characters without whitespace")
+
+
 @dataclass(frozen=True)
 class SyncRequest:
     t1: int
@@ -164,9 +167,8 @@ class Report:
     token: str
 
     def __post_init__(self) -> None:
-        if not _NONCE_RE.match(self.nonce):
-            raise ValueError("nonce must be 8-64 characters without whitespace")
-        if not _TOKEN_RE.match(self.token):
+        _check_nonce(self.nonce)
+        if not _TOKEN_RE.fullmatch(self.token):
             raise ValueError("token must be exactly 32 lowercase hex characters")
 
 
@@ -193,8 +195,7 @@ class Survey:
     text: str
 
     def __post_init__(self) -> None:
-        if not _NONCE_RE.match(self.nonce):
-            raise ValueError("nonce must be 8-64 characters without whitespace")
+        _check_nonce(self.nonce)
         if self.code not in SURVEY_CODES:
             raise ValueError(f"unknown survey code {self.code!r}")
 
@@ -231,7 +232,7 @@ def decode_survey_text(field: str) -> str:
         return ""
     try:
         return base64.urlsafe_b64decode(field.encode("ascii")).decode("utf-8")
-    except (binascii.Error, UnicodeDecodeError, ValueError) as exc:
+    except ValueError as exc:  # binascii.Error and UnicodeDecodeError among them
         raise MalformedLine(f"bad survey text field: {exc}") from exc
 
 
@@ -252,20 +253,18 @@ def encode_message(msg: Message) -> str:
     raise TypeError(f"not a protocol message: {msg!r}")
 
 
+def _parse_int(text: str) -> int:
+    """The integer grammar of every text format: "-"? then ASCII digits with
+    no leading zero. Raises ValueError, also for more digits than int() takes."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _parse_round(kind: str, index: str) -> RoundRef:
-    if kind not in (CAL, EXE):
-        raise MalformedLine(f"unknown round kind {kind!r}")
-    if not _UINT_RE.match(index):
-        raise MalformedLine(f"round index must be a decimal integer, got {index!r}")
-    if kind == EXE and index != "0":
-        raise MalformedLine("execution round index must be the literal 0")
-    return RoundRef(kind, int(index))
-
-
-def _parse_ms(field: str) -> int:
-    if not _INT_RE.match(field):
-        raise MalformedLine(f"expected integer milliseconds, got {field!r}")
-    return int(field)
+    if index.startswith("-"):  # "-0" would pass the integer grammar
+        raise ValueError(f"round index must be unsigned, got {index!r}")
+    return RoundRef(kind, _parse_int(index))
 
 
 def decode_message(line: str) -> Message:
@@ -275,51 +274,49 @@ def decode_message(line: str) -> Message:
     parts = line.split(" ")
     if parts != [p for p in parts if p]:
         raise MalformedLine("empty or repeated separators")
-    verb = parts[0]
-    args = parts[1:]
+    verb, *args = parts
+    # the message constructors check every field the grammar leaves open
     try:
         if verb == "SYNC" and len(args) == 1:
-            return SyncRequest(_parse_ms(args[0]))
+            return SyncRequest(_parse_int(args[0]))
         if verb == "SYNCR" and len(args) == 3:
-            return SyncResponse(*(_parse_ms(a) for a in args))
+            return SyncResponse(*map(_parse_int, args))
         if verb == "REPORT" and len(args) == 4:
-            round = _parse_round(args[0], args[1])
-            if not _NONCE_RE.match(args[2]):
-                raise MalformedLine(f"bad nonce {args[2]!r}")
-            if not _TOKEN_RE.match(args[3]):
-                raise MalformedLine("token must be 32 lowercase hex characters")
-            return Report(round, args[2], args[3])
+            return Report(_parse_round(args[0], args[1]), args[2], args[3])
         if verb == "ACK" and len(args) == 2:
-            return Ack(_parse_round(args[0], args[1]))
+            return Ack(_parse_round(*args))
         if verb == "REJ" and len(args) == 1:
-            if args[0] not in REJECT_REASONS:
-                raise MalformedLine(f"unknown reject reason {args[0]!r}")
             return Reject(args[0])
         if verb == "SURVEY" and len(args) == 3:
-            if not _NONCE_RE.match(args[0]):
-                raise MalformedLine(f"bad nonce {args[0]!r}")
-            if args[1] not in SURVEY_CODES:
-                raise MalformedLine(f"unknown survey code {args[1]!r}")
             return Survey(args[0], args[1], decode_survey_text(args[2]))
-    except MalformedLine:
-        raise
     except ValueError as exc:
         raise MalformedLine(str(exc)) from exc
     raise MalformedLine(f"unrecognized line {line!r}")
 
 
-# --- config file ------------------------------------------------------------
+# --- config file and other line files ---------------------------------------
 
-_CONFIG_INT_FIELDS = {
-    "epoch_ms",
-    "delta_t_ms",
-    "n_rounds",
-    "delta_tau_ms",
-    "t_star_ms",
-    "grace_ms",
-}
-_CONFIG_STR_FIELDS = {"experiment_id", "secret"}
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+_T = TypeVar("_T")
+
+
+def _parse_lines(
+    text: str, parse: Callable[[str], _T], error: type[ValueError], name: str
+) -> list[_T]:
+    """Apply `parse` to each line of a line file that holds something before
+    its ``#`` comment, stripped; a ValueError names the file and line number."""
+    items = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            try:
+                items.append(parse(content))
+            except ValueError as exc:
+                raise error(f"{name} line {lineno}: {exc}") from exc
+    return items
+
+
+_CONFIG_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -330,28 +327,22 @@ def parse_config(text: str) -> ExperimentConfig:
     (computed from the schedule) and ``grace_ms`` defaults to 5 minutes.
     """
     values: dict[str, int | str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def entry(line: str) -> None:
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_TYPES:
+            raise ConfigError(f"unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"duplicate key {key!r}")
         if not value:
-            raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        if key in _CONFIG_INT_FIELDS:
-            if not _INT_RE.match(value):
-                raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}")
-            values[key] = int(value)
-        else:
-            values[key] = value
-    missing = (_CONFIG_STR_FIELDS | _CONFIG_INT_FIELDS) - {"t_star_ms", "grace_ms"} - set(values)
+            raise ConfigError(f"empty value for {key!r}")
+        values[key] = _parse_int(value) if _CONFIG_TYPES[key] is int else value
+
+    _parse_lines(text, entry, ConfigError, "config")
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    missing = required - {"t_star_ms", *values}  # t_star_ms follows from the schedule
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(sorted(missing))}")
     if "t_star_ms" not in values:

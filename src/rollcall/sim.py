@@ -334,7 +334,7 @@ class SimClient:
             UptimeRecord("DOWN", config.t_star_ms + skew - 500),
             UptimeRecord("UP", config.t_star_ms + config.delta_tau_ms + skew + 500),
         ]
-        if certify_shutdown(records, config, start_tol_ms=60_000):
+        if certify_shutdown(records, config):
             self._try_send(round)
 
     def _try_send(self, round: RoundRef) -> None:

@@ -83,6 +83,10 @@ class TestAnalyze:
     def test_missing_log_file(self, tmp_path, capsys):
         assert main(["analyze", "--log", str(tmp_path / "none.log")]) == EXIT_ERROR
 
+    def test_log_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["analyze", "--log", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot read log {tmp_path}")
+
 
 # one corrupt event each: restart and `analyze` must both refuse the log
 CORRUPT_EVENTS = ["CLOSE CAL x", "CLOSE EXE 5", "SURVEY garbage", "ACCEPT garbage"]
@@ -200,6 +204,14 @@ class TestCounterAndClientErrors:
             blocker.close()
         assert code == EXIT_ERROR
         assert "cannot listen" in capsys.readouterr().err
+
+    def test_counter_log_that_is_a_directory(self, tmp_path, capsys):
+        conf = tmp_path / "ok.conf"
+        conf.write_text(format_config(make_config()))
+        code = main(["counter", "--listen", "127.0.0.1:0", "--config", str(conf),
+                     "--log", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot open log {tmp_path}")
 
     def test_client_unreachable_counter(self, tmp_path, capsys):
         conf = tmp_path / "ok.conf"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rollcall.counter import (
+    MAX_LINE_BYTES,
     CounterCore,
     CounterError,
     CounterService,
@@ -23,6 +24,7 @@ from rollcall.protocol import (
     Report,
     RoundRef,
     Survey,
+    decode_message,
     derive_token,
     encode_message,
 )
@@ -483,3 +485,75 @@ class TestService:
         core = replay_log_file(config, log_path, attach=False)
         assert core.tallies[RoundRef.cal(0)].count == 1
         assert (RoundRef.cal(0), "live-nonce-1") in core.seen
+
+    def _live_service(self, tmp_path):
+        now = int(time.time() * 1000)
+        # round 0's report window is open right now
+        config = make_config(epoch_ms=now - 11_000, delta_t_ms=100_000, delta_tau_ms=10_000,
+                             grace_ms=60_000)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", fsync=False)
+        service.start_background()
+        return config, service
+
+    def _answers(self, service, payload, n):
+        """Send `payload` on one connection and read `n` answers, then any extra."""
+        with socket.create_connection(service.address, timeout=5) as sock:
+            sock.sendall(payload)
+            reader = sock.makefile("rb")
+            answers = [reader.readline().decode().rstrip("\n") for _ in range(n)]
+            sock.shutdown(socket.SHUT_WR)
+            return answers, reader.read()
+
+    def test_overlong_line_gets_one_answer(self, tmp_path):
+        config, service = self._live_service(tmp_path)
+        token = derive_token(config.secret, RoundRef.cal(0))
+        try:
+            answers, extra = self._answers(
+                service,
+                b"X" * MAX_LINE_BYTES + f"REPORT CAL 0 smuggled {token}\n".encode()
+                + f"REPORT CAL 0 honest-1 {token}\n".encode(),
+                2,
+            )
+        finally:
+            service.shutdown()
+        assert answers == ["REJ MALFORMED", "ACK CAL 0"]
+        assert extra == b""
+        events = read_log(tmp_path / "svc.log")
+        assert [e.tag for e in events] == ["REJECT", "ACCEPT"]
+        assert events[0].raw == "X" * MAX_LINE_BYTES
+        assert "honest-1" in events[1].raw
+
+    @staticmethod
+    def _longest_survey():
+        """A well-formed SURVEY line of exactly MAX_LINE_BYTES bytes."""
+        head = b"SURVEY survey-no FORGOT "
+        line = head + b"AAAA" * ((MAX_LINE_BYTES - len(head)) // 4)
+        assert len(line) == MAX_LINE_BYTES
+        assert isinstance(decode_message(line.decode()), Survey)
+        return line
+
+    def test_line_of_max_length_is_one_request(self, tmp_path):
+        config, service = self._live_service(tmp_path)
+        try:
+            answers, extra = self._answers(service, self._longest_survey() + b"\nSYNC 8\n", 2)
+        finally:
+            service.shutdown()
+        assert answers[0] == "ACK EXE 0"
+        assert answers[1].startswith("SYNCR 8 ")
+        assert extra == b""
+        assert [e.tag for e in read_log(tmp_path / "svc.log")] == ["SURVEY"]
+
+    def test_overlong_survey_prefix_is_not_decoded(self, tmp_path):
+        config, service = self._live_service(tmp_path)
+        try:
+            answers, extra = self._answers(
+                service, self._longest_survey() + b"AAAA\nSYNC 7\n", 2
+            )
+        finally:
+            service.shutdown()
+        assert answers[0] == "REJ MALFORMED"
+        assert answers[1].startswith("SYNCR 7 ")
+        assert extra == b""
+        events = read_log(tmp_path / "svc.log")
+        assert [e.tag for e in events] == ["REJECT"]
+        assert events[0].raw.encode() == self._longest_survey()
