@@ -127,9 +127,7 @@ def cmd_client(args: argparse.Namespace) -> int:
     host, port = args.counter
     transport = client_mod.TcpTransport(host, port)
     options = client_mod.ClientOptions(
-        prompt_lead_ms=args.prompt_lead_ms,
-        start_tol_ms=args.start_tol_ms,
-        sync_samples=args.sync_samples,
+        prompt_lead_ms=args.prompt_lead_ms, sync_samples=args.sync_samples
     )
     if args.nonce:
         options.nonce = args.nonce
@@ -163,8 +161,7 @@ def cmd_client(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:
-        if isinstance(transport, client_mod.TcpTransport):
-            transport.close()
+        transport.close()
     return EXIT_OK
 
 
@@ -321,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument("--uptime", help="uptime records file (DOWN/UP <ms> lines)")
     p_client.add_argument("--nonce", help="stable client identifier override")
     p_client.add_argument("--prompt-lead-ms", type=int, default=client_mod.DEFAULT_PROMPT_LEAD_MS)
-    p_client.add_argument("--start-tol-ms", type=int, default=client_mod.DEFAULT_START_TOL_MS)
     p_client.add_argument("--sync-samples", type=int, default=8)
     p_client.add_argument(
         "--assume-yes", action="store_true", help="consent to every round without prompting"

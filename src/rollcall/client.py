@@ -47,6 +47,7 @@ from .timesync import (
 DEFAULT_PROMPT_LEAD_MS = 120_000
 DEFAULT_START_TOL_MS = 60_000
 SYNC_ATTEMPTS = 5
+REQUEST_TIMEOUT_S = 5.0
 
 
 class ClientError(RuntimeError):
@@ -62,17 +63,25 @@ class Transport(Protocol):
 
 
 class TcpTransport:
-    """One-line-per-exchange client over a persistent TCP connection."""
+    """One-line-per-exchange client over a persistent TCP connection.
 
-    def __init__(self, host: str, port: int, timeout_s: float = 5.0) -> None:
+    The connection is opened when the transport is built, so connection setup
+    never lands inside a timed exchange such as the first SYNC. If that fails,
+    the first request connects again and reports the failure.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.timeout_s = timeout_s
         self._sock: socket.socket | None = None
         self._rfile = None
+        try:
+            self._connect()
+        except OSError:
+            pass
 
     def _connect(self) -> None:
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
+        sock = socket.create_connection((self.host, self.port), timeout=REQUEST_TIMEOUT_S)
         self._sock = sock
         self._rfile = sock.makefile("rb")
 
@@ -130,45 +139,7 @@ class RoundOutcome(Enum):
     DECLINED = "DECLINED"
     VIOLATED = "VIOLATED"
     FAILED = "FAILED"
-
-
-@dataclass(frozen=True)
-class NextRound:
-    round: RoundRef
-    start_ms: int
-    prompt_ms: int
-    report_open_ms: int
-    report_close_ms: int
-
-
-def next_wakeup(
-    config: ExperimentConfig, now_counter_ms: int, prompt_lead_ms: int = DEFAULT_PROMPT_LEAD_MS
-) -> NextRound | None:
-    """Earliest round this client can still take part in, or None when done.
-
-    A calibration round needs the client present from its start (monitoring is
-    live), so it is only offered while its start lies ahead. The execution
-    round is certified retrospectively from uptime records and stays available
-    until its report window closes.
-    """
-
-    def bundle(round: RoundRef) -> NextRound:
-        start = config.round_start(round)
-        return NextRound(
-            round=round,
-            start_ms=start,
-            prompt_ms=start - prompt_lead_ms,
-            report_open_ms=config.window_open(round),
-            report_close_ms=config.window_close(round),
-        )
-
-    for i in range(config.n_rounds):
-        if now_counter_ms <= config.round_start(RoundRef.cal(i)):
-            return bundle(RoundRef.cal(i))
-    exe = RoundRef.exe()
-    if now_counter_ms <= config.window_close(exe):
-        return bundle(exe)
-    return None
+    SKIPPED = "SKIPPED"  # the client came too late to take part
 
 
 def first_violation(
@@ -193,21 +164,18 @@ def records_well_formed(records: Iterable[UptimeRecord]) -> bool:
     return True
 
 
-def certify_shutdown(
-    records: Iterable[UptimeRecord],
-    config: ExperimentConfig,
-    start_tol_ms: int = DEFAULT_START_TOL_MS,
-) -> bool:
+def certify_shutdown(records: Iterable[UptimeRecord], config: ExperimentConfig) -> bool:
     """Whether the records show the host off for the whole shutdown window.
 
     Compliant when some DOWN at time d with its matching UP at time u
-    satisfies d <= t* + start_tol and u >= t* + delta_tau. A malformed record
-    stream is simply not compliant.
+    satisfies d <= t* + DEFAULT_START_TOL_MS and u >= t* + delta_tau. The
+    tolerance is one constant, so compliance means the same for every
+    volunteer. A malformed record stream is simply not compliant.
     """
     records = list(records)
     if not records_well_formed(records):
         return False
-    need_from = config.t_star_ms + start_tol_ms
+    need_from = config.t_star_ms + DEFAULT_START_TOL_MS
     need_until = config.t_star_ms + config.delta_tau_ms
     down_at: int | None = None
     for record in records:
@@ -323,7 +291,7 @@ def sync_clock(transport: Transport, clock: Clock, samples: int = 8) -> ClockEst
             collected.append(sample)
     if not collected:
         raise ClockSyncError(f"no usable sync exchange ({failures})")
-    return best_estimate(collected, k=max(len(collected), 1))
+    return best_estimate(collected)
 
 
 def run_survey(
@@ -355,14 +323,13 @@ SurveyFn = Callable[[], "tuple[str, str] | None"]
 class ClientOptions:
     nonce: str = field(default_factory=lambda: secrets.token_hex(8))
     prompt_lead_ms: int = DEFAULT_PROMPT_LEAD_MS
-    start_tol_ms: int = DEFAULT_START_TOL_MS
     sync_samples: int = 8
     retry_ms: int = 500
     send_margin_ms: int = 50
 
 
 class ClientRunner:
-    """Drives one client through every remaining round against a live counter.
+    """Drives one client through every scheduled round against a live counter.
 
     All timing flows through the injected clock and every exchange through the
     injected transport, so the produced message sequence is a deterministic
@@ -393,7 +360,6 @@ class ClientRunner:
         self.outcomes: dict[RoundRef, RoundOutcome] = {}
         self.trace: list[tuple[str, str]] = []  # ("send"|"recv", line)
         self._estimate: ClockEstimate | None = None
-        self._surveyed = False
 
     # -- plumbing ---------------------------------------------------------
 
@@ -421,8 +387,6 @@ class ClientRunner:
             return False
 
     def _ensure_synced(self) -> None:
-        if self._estimate is not None:
-            return
         for _ in range(SYNC_ATTEMPTS):
             if self._sync():
                 assert self._estimate is not None
@@ -434,68 +398,62 @@ class ClientRunner:
     # -- lifecycle ---------------------------------------------------------
 
     def run(self) -> dict[RoundRef, RoundOutcome]:
+        """Visit every scheduled round once, in order; one outcome per round."""
         self._ensure_synced()
-        while True:
-            nxt = next_wakeup(self.config, self._counter_now(), self.options.prompt_lead_ms)
-            if nxt is None:
-                self.notify("experiment complete")
-                return self.outcomes
-            if nxt.round in self.outcomes:
-                # already handled; idle out its report window
-                self._wait_counter(nxt.report_close_ms + 1)
-                continue
-            self._wait_counter(nxt.prompt_ms)
-            self._sync()  # best-effort refresh; the previous estimate stays valid
-            if nxt.round.is_execution:
-                outcome = self._run_execution(nxt)
-            else:
-                outcome = self._run_calibration(nxt)
-            self.outcomes[nxt.round] = outcome
-            self.notify(f"round {nxt.round.wire()}: {outcome.value}")
+        for round in self.config.rounds():
+            outcome = self._run_round(round)
+            self.outcomes[round] = outcome
+            self.notify(f"round {round.wire()}: {outcome.value}")
+        self.notify("experiment complete")
+        return self.outcomes
 
-    def _local_deadline(self, counter_ms: int) -> int:
+    def _run_round(self, round: RoundRef) -> RoundOutcome:
+        # a calibration round needs the client present from its start
+        # (monitoring is live); the execution round is certified from uptime
+        # records afterwards and stays open until its report window closes
+        start = self.config.round_start(round)
+        last_chance = self.config.window_close(round) if round.is_execution else start
+        if self._counter_now() > last_chance:
+            return RoundOutcome.SKIPPED
+        self._wait_counter(start - self.options.prompt_lead_ms)
+        self._sync()  # best-effort refresh; the previous estimate stays valid
+        if round.is_execution:
+            return self._run_execution(round)
+        return self._run_calibration(round)
+
+    def _consents(self, round: RoundRef) -> bool:
         assert self._estimate is not None
-        return counter_ms - self._estimate.offset_ms
+        deadline = self.config.round_start(round) - self._estimate.offset_ms
+        return self.consent(round, deadline)
 
-    def _run_calibration(self, nxt: NextRound) -> RoundOutcome:
-        if not self.consent(nxt.round, self._local_deadline(nxt.start_ms)):
-            self._wait_counter(nxt.start_ms + 1)
+    def _run_calibration(self, round: RoundRef) -> RoundOutcome:
+        if not self._consents(round):
             return RoundOutcome.DECLINED
-        self._wait_counter(nxt.start_ms)
-        window_end = nxt.start_ms + self.config.delta_tau_ms
-        violation = first_violation(self.activity(nxt.start_ms, window_end), nxt.start_ms, window_end)
-        if violation is not None:
-            # outcome already decided; no need to sit out the window
-            self._wait_counter(nxt.start_ms + 1)
+        start = self.config.round_start(round)
+        self._wait_counter(start)
+        window_end = self.config.window_open(round)
+        if first_violation(self.activity(start, window_end), start, window_end) is not None:
             return RoundOutcome.VIOLATED
-        self._wait_counter(window_end)
-        return self._send_report(nxt)
+        return self._send_report(round)
 
-    def _run_execution(self, nxt: NextRound) -> RoundOutcome:
-        if not self.consent(nxt.round, self._local_deadline(nxt.start_ms)):
-            self._wait_counter(nxt.report_close_ms + 1)
+    def _run_execution(self, round: RoundRef) -> RoundOutcome:
+        if not self._consents(round):
             return RoundOutcome.DECLINED
         # the host is nominally powered off during [t*, t* + delta_tau];
         # certification happens from records after reconnection
-        self._wait_counter(nxt.start_ms + self.config.delta_tau_ms)
+        self._wait_counter(self.config.window_open(round))
         records = self.uptime()
-        well_formed = records_well_formed(records)
-        compliant = well_formed and certify_shutdown(
-            records, self.config, self.options.start_tol_ms
-        )
-        if compliant:
-            return self._send_report(nxt)
-        self._offer_survey(forced_obstacle=not well_formed)
-        self._wait_counter(nxt.report_close_ms + 1)
+        if certify_shutdown(records, self.config):
+            return self._send_report(round)
+        self._offer_survey(forced_obstacle=not records_well_formed(records))
         return RoundOutcome.VIOLATED
 
-    def _send_report(self, nxt: NextRound) -> RoundOutcome:
-        report = Report(
-            nxt.round, self.options.nonce, derive_token(self.config.secret, nxt.round)
+    def _send_report(self, round: RoundRef) -> RoundOutcome:
+        line = encode_message(
+            Report(round, self.options.nonce, derive_token(self.config.secret, round))
         )
-        line = encode_message(report)
-        self._wait_counter(nxt.report_open_ms + self.options.send_margin_ms)
-        while self._counter_now() <= nxt.report_close_ms:
+        self._wait_counter(self.config.window_open(round) + self.options.send_margin_ms)
+        while self._counter_now() <= self.config.window_close(round):
             try:
                 step = report_step(self._request(line))
             except TransportError:
@@ -508,9 +466,6 @@ class ClientRunner:
         return RoundOutcome.FAILED
 
     def _offer_survey(self, forced_obstacle: bool) -> None:
-        if self._surveyed:
-            return
-        self._surveyed = True
         if forced_obstacle:
             answer: tuple[str, str] | None = ("OBSTACLE", "")
         else:

@@ -16,6 +16,7 @@ Sync exchanges are answered but not logged; they carry no tally state.
 from __future__ import annotations
 
 import os
+import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -383,6 +384,11 @@ class _LineHandler(socketserver.StreamRequestHandler):
 class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver listens with a backlog of 5, which a roll call's clients
+    # connecting at once overflow; the kernel then completes the handshake
+    # only on a retransmission 0.2-1 s later, and that wait lands on the up
+    # leg of each such client's first SYNC
+    request_queue_size = socket.SOMAXCONN
 
 
 class CounterService:

@@ -228,12 +228,20 @@ def encode_survey_text(text: str) -> str:
 
 
 def decode_survey_text(field: str) -> str:
+    """The text of a field that `encode_survey_text` would write, else MalformedLine.
+
+    The stdlib decoder skips characters outside the alphabet and ignores stray
+    padding bits, so only a field that re-encodes to itself is accepted.
+    """
     if field == "-":
         return ""
     try:
-        return base64.urlsafe_b64decode(field.encode("ascii")).decode("utf-8")
+        text = base64.urlsafe_b64decode(field.encode("ascii")).decode("utf-8")
     except ValueError as exc:  # binascii.Error and UnicodeDecodeError among them
         raise MalformedLine(f"bad survey text field: {exc}") from exc
+    if encode_survey_text(text) != field:
+        raise MalformedLine("survey text field is not canonical URL-safe base64")
+    return text
 
 
 def encode_message(msg: Message) -> str:

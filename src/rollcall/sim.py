@@ -303,7 +303,7 @@ class SimClient:
             return
         if len(self._sync_samples) >= self.sim.spec.sync_samples or force:
             try:
-                est = best_estimate(self._sync_samples, k=max(len(self._sync_samples), 1))
+                est = best_estimate(self._sync_samples)
                 self.offset_est = est.offset_ms
             except ClockSyncError:
                 self.offset_est = 0  # fly blind rather than drop out

@@ -5,16 +5,14 @@ receive) yields an offset and round-trip delay exactly as in SNTP. Only
 relative alignment to the counter matters, so the counter itself answers the
 sync requests and no stratum or drift handling is needed. Offsets from the
 lowest-delay exchange are the least disturbed by queueing, hence
-minimum-delay filtering over a small window of recent samples.
+minimum-delay filtering over the samples of one sync.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
-
-DEFAULT_SAMPLE_WINDOW = 8
+from typing import Iterable, Protocol
 
 
 class ClockSyncError(RuntimeError):
@@ -70,13 +68,10 @@ def estimate(sample: SyncSample) -> tuple[int, int]:
     return offset, delay
 
 
-def best_estimate(samples: Iterable[SyncSample], k: int = DEFAULT_SAMPLE_WINDOW) -> ClockEstimate:
-    """Minimum-delay estimate over the `k` most recent accepted samples."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    recent = list(samples)[-k:]
+def best_estimate(samples: Iterable[SyncSample]) -> ClockEstimate:
+    """Minimum-delay estimate over all accepted samples."""
     accepted: list[tuple[int, int]] = []
-    for sample in recent:
+    for sample in samples:
         try:
             offset, delay = estimate(sample)
         except ClockSyncError:
@@ -107,21 +102,14 @@ class SystemClock:
             time.sleep(duration_ms / 1000.0)
 
 
-def wait_until(
-    target_counter_ms: int,
-    est: ClockEstimate,
-    clock: Clock,
-    should_stop: Callable[[], bool] | None = None,
-) -> None:
+def wait_until(target_counter_ms: int, est: ClockEstimate, clock: Clock) -> None:
     """Block until the estimated counter clock reaches `target_counter_ms`.
 
     Never fires early relative to the estimate; a target in the past returns
-    immediately. `should_stop` is polled so long sleeps stay interruptible.
+    immediately.
     """
     while True:
         remaining = target_counter_ms - est.counter_now(clock.now_ms())
         if remaining <= 0:
             return
-        if should_stop is not None and should_stop():
-            return
-        clock.sleep_ms(min(remaining, 500) if should_stop is not None else remaining)
+        clock.sleep_ms(remaining)

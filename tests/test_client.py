@@ -1,3 +1,5 @@
+import socket
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,12 +11,12 @@ from rollcall.client import (
     ClientRunner,
     ReportStep,
     RoundOutcome,
+    TcpTransport,
     TransportError,
     UptimeRecord,
     activity_from_file,
     certify_shutdown,
     first_violation,
-    next_wakeup,
     parse_activity_text,
     parse_uptime_text,
     records_well_formed,
@@ -24,38 +26,11 @@ from rollcall.client import (
     sync_sample,
     uptime_from_file,
 )
-from rollcall.counter import CounterCore
+from rollcall.counter import CounterCore, CounterService
 from rollcall.protocol import RoundRef
 from rollcall.timesync import ClockSyncError
 
 from conftest import FakeClock, LoopbackTransport, make_config
-
-
-class TestNextWakeup:
-    def test_before_first_round(self, config):
-        nxt = next_wakeup(config, config.epoch_ms - 50_000)
-        assert nxt.round == RoundRef.cal(0)
-        assert nxt.prompt_ms == config.epoch_ms - 120_000
-
-    def test_mid_experiment_picks_next_start(self, config):
-        now = config.epoch_ms + config.delta_t_ms // 2
-        nxt = next_wakeup(config, now)
-        assert nxt.round == RoundRef.cal(1)
-        assert nxt.prompt_ms == config.epoch_ms + config.delta_t_ms - 120_000
-
-    def test_exact_start_still_offered(self, config):
-        assert next_wakeup(config, config.epoch_ms).round == RoundRef.cal(0)
-
-    def test_after_last_calibration_comes_execution(self, config):
-        now = config.round_start(RoundRef.cal(config.n_rounds - 1)) + 1
-        nxt = next_wakeup(config, now)
-        assert nxt.round == RoundRef.exe()
-        assert nxt.start_ms == config.t_star_ms
-
-    def test_execution_available_until_report_close(self, config):
-        close = config.window_close(RoundRef.exe())
-        assert next_wakeup(config, close).round == RoundRef.exe()
-        assert next_wakeup(config, close + 1) is None
 
 
 class TestMonitoring:
@@ -154,6 +129,27 @@ class TestSyncAndSurvey:
         assert est.offset_ms == 0
         assert est.delay_ms == 0
         assert est.samples_used == 4
+
+    def test_connection_setup_stays_out_of_the_first_sample(self, config, monkeypatch):
+        # client and counter share one clock, and connecting costs 300 ms of it:
+        # timed inside the first exchange, it would read as offset 150, delay 300
+        clock = FakeClock(start_ms=5000)
+        service = CounterService(config, ("127.0.0.1", 0), fsync=False, clock=clock)
+        service.start_background()
+        connect = socket.create_connection
+
+        def slow_connect(*args, **kwargs):
+            clock.t += 300
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", slow_connect)
+        transport = TcpTransport(*service.address)
+        try:
+            est = sync_clock(transport, clock, samples=1)
+        finally:
+            transport.close()
+            service.shutdown()
+        assert (est.offset_ms, est.delay_ms) == (0, 0)
 
     def test_sync_total_failure(self, config):
         clock = FakeClock()
@@ -394,6 +390,53 @@ class TestRunnerLifecycle:
         outcomes = runner.run()
         assert outcomes[RoundRef.exe()] == RoundOutcome.DECLINED
         assert not any(l.startswith("SURVEY") for l in transport.requests)
+
+
+class TestRunnerSchedule:
+    """One pass over the schedule: an outcome for every round, whenever the client starts."""
+
+    def run_from(self, config, start_ms):
+        clock = FakeClock(start_ms=start_ms)
+        core = CounterCore(config)
+        runner, transport = make_runner(config, core, clock, uptime=full_uptime(config))
+        outcomes = runner.run()
+        assert list(outcomes) == config.rounds()
+        reported = [" ".join(l.split()[1:3]) for l in transport.requests
+                    if l.startswith("REPORT")]
+        return outcomes, reported, clock
+
+    def test_start_just_after_first_round_skips_it(self, config):
+        outcomes, reported, _ = self.run_from(config, config.epoch_ms + 1)
+        assert outcomes[RoundRef.cal(0)] == RoundOutcome.SKIPPED
+        assert [outcomes[r] for r in config.rounds()[1:]] == [RoundOutcome.REPORTED] * 3
+        assert reported == ["CAL 1", "CAL 2", "EXE 0"]
+
+    def test_start_exactly_at_a_round_start_takes_part(self, config):
+        outcomes, reported, _ = self.run_from(config, config.round_start(RoundRef.cal(1)))
+        assert outcomes[RoundRef.cal(0)] == RoundOutcome.SKIPPED
+        assert outcomes[RoundRef.cal(1)] == RoundOutcome.REPORTED
+        assert reported == ["CAL 1", "CAL 2", "EXE 0"]
+
+    def test_start_after_last_calibration_takes_part_in_execution_only(self, config):
+        start = config.round_start(RoundRef.cal(config.n_rounds - 1)) + 1
+        outcomes, reported, _ = self.run_from(config, start)
+        assert [outcomes[RoundRef.cal(i)] for i in range(config.n_rounds)] == (
+            [RoundOutcome.SKIPPED] * config.n_rounds
+        )
+        assert outcomes[RoundRef.exe()] == RoundOutcome.REPORTED
+        assert reported == ["EXE 0"]
+
+    def test_start_after_execution_window_skips_everything(self, config):
+        outcomes, reported, _ = self.run_from(config, config.window_close(RoundRef.exe()) + 1)
+        assert set(outcomes.values()) == {RoundOutcome.SKIPPED}
+        assert reported == []
+
+    def test_returns_once_execution_is_acknowledged(self, config):
+        outcomes, _, clock = self.run_from(config, config.epoch_ms - 10_000)
+        assert outcomes[RoundRef.exe()] == RoundOutcome.REPORTED
+        # the report went out at window open + send margin and was ACKed at once
+        assert clock.t == config.window_open(RoundRef.exe()) + 10
+        assert clock.t < config.window_close(RoundRef.exe())
 
 
 @settings(deadline=None, max_examples=30)

@@ -486,6 +486,19 @@ class TestService:
         assert core.tallies[RoundRef.cal(0)].count == 1
         assert (RoundRef.cal(0), "live-nonce-1") in core.seen
 
+    def test_burst_of_connections_fits_the_listen_backlog(self):
+        # nothing accepts yet, so every handshake must complete from the
+        # backlog alone; a full backlog drops the SYN and the connect times out
+        service = CounterService(make_config(), ("127.0.0.1", 0), fsync=False)
+        socks = []
+        try:
+            for _ in range(20):
+                socks.append(socket.create_connection(service.address, timeout=0.5))
+        finally:
+            for sock in socks:
+                sock.close()
+            service._server.server_close()
+
     def _live_service(self, tmp_path):
         now = int(time.time() * 1000)
         # round 0's report window is open right now

@@ -77,11 +77,12 @@ CODE = _field(
     st.sampled_from(sorted(protocol.SURVEY_CODES)),
     st.sampled_from(["forgot", "NONE", "OTHERS"]),
 )
-# urlsafe base64 is lenient (it skips foreign characters), so only fields
-# whose outcome is certain are drawn
+# a survey text field is valid exactly when it is what encode_survey_text writes
+NON_CANONICAL_TEXT = ["!!!!", "aGk=!", "aGk+", "aGl=", "aGk=aGk="]
 TEXT = _field(
     st.one_of(st.just("-"), st.text(min_size=1, max_size=40).map(encode_survey_text)),
-    st.sampled_from(["a", "aGk", "abcde", "a===", "_w=="]),  # the last is not UTF-8
+    # "_w==" is not UTF-8
+    st.sampled_from(["a", "aGk", "abcde", "a===", "_w==", *NON_CANONICAL_TEXT]),
 )
 INDEX = st.integers(min_value=0, max_value=10**12).map(str)
 BAD_INDEX = st.sampled_from(["01", "+1", "-0", "-1", "1_0", "١", "00", "x"])
@@ -132,8 +133,15 @@ def test_decoder_accepts_exactly_the_valid_lines(data):
     except MalformedLine:
         msg = None
     assert (msg is not None) == valid, line
-    if msg is not None and verb != "SURVEY":
+    if msg is not None:
         assert encode_message(msg) == line
+
+
+@pytest.mark.parametrize("field", NON_CANONICAL_TEXT)
+def test_survey_text_must_be_canonical(field):
+    # the lenient stdlib decoder reads these as "", "hi", "hi>", "hi" and "hi"
+    with pytest.raises(MalformedLine):
+        decode_message(f"SURVEY abcdefgh FORGOT {field}")
 
 
 # --- the one integer grammar, wherever an integer is read ----------------------

@@ -81,21 +81,10 @@ class TestBestEstimate:
         with pytest.raises(ClockSyncError):
             best_estimate([SyncSample(0, 0, 10, 5)])
 
-    def test_window_keeps_most_recent_k(self):
-        old_fast = SyncSample(0, 1, 1, 0)  # delay 0, offset 1
-        newer = [SyncSample(0, 50, 50, 20), SyncSample(0, 60, 60, 30)]
-        est = best_estimate([old_fast] + newer, k=2)
-        assert est.offset_ms == 40  # the old zero-delay sample fell out
-        assert est.samples_used == 2
-
     @given(st.permutations([SyncSample(0, 10, 12, 4), SyncSample(0, 65, 65, 50), SyncSample(0, 30, 30, 10)]))
     def test_permutation_invariant(self, samples):
         est = best_estimate(samples)
         assert est.offset_ms == 9
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            best_estimate([SyncSample(0, 0, 0, 0)], k=0)
 
 
 class TestWaitUntil:
