@@ -6,8 +6,10 @@ client 4 touches the keyboard mid-window, client 5 never powers down; the
 final tallies show exactly that.
 """
 
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 from rollcall.client import (
     ActivityEvent,
@@ -16,7 +18,7 @@ from rollcall.client import (
     TcpTransport,
     UptimeRecord,
 )
-from rollcall.counter import CounterService
+from rollcall.counter import CounterService, log_distribution, read_log
 from rollcall.protocol import ExperimentConfig
 from rollcall.timesync import SystemClock
 
@@ -33,7 +35,11 @@ config = ExperimentConfig(
     grace_ms=2_000,
 )
 
-service = CounterService(config, ("127.0.0.1", 0), "/tmp/rollcall-demo.log", fsync=False)
+# a fresh log per run: the counter replays an existing one, and a second run
+# would start from the first run's closed rounds
+workdir = tempfile.TemporaryDirectory()
+log_path = Path(workdir.name) / "counter.log"
+service = CounterService(config, ("127.0.0.1", 0), log_path, fsync=False)
 service.start_background()
 host, port = service.address
 print(f"counter listening on {host}:{port}")
@@ -75,5 +81,7 @@ service.shutdown()
 
 print(f"\ncalibration counts: {counts}   (client 4 violates every window)")
 print(f"execution count   : {n_star}   (clients 4* and 5 never certified; 3 did)")
-print("counter log       : /tmp/rollcall-demo.log  (try: rollcall analyze --log ...)")
+log_counts, log_n_star = log_distribution(read_log(log_path))
+print(f"from the log alone: {log_counts} and {log_n_star}")
 print("* client 4's violations only matter in calibration; it powered down fine")
+workdir.cleanup()

@@ -305,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument("--listen", type=_parse_address, required=True, metavar="HOST:PORT")
     p_counter.add_argument("--config", required=True)
     p_counter.add_argument("--log", required=True)
-    p_counter.add_argument("--no-fsync", action="store_true", help="skip fsync per event")
+    p_counter.add_argument(
+        "--no-fsync", action="store_true",
+        help="never fsync the log, so answers do not wait for their events to be durable",
+    )
     p_counter.add_argument(
         "--until-complete", action="store_true", help="exit once every round is closed"
     )

@@ -65,9 +65,10 @@ class Transport(Protocol):
 class TcpTransport:
     """One-line-per-exchange client over a persistent TCP connection.
 
-    The connection is opened when the transport is built, so connection setup
-    never lands inside a timed exchange such as the first SYNC. If that fails,
-    the first request connects again and reports the failure.
+    The connection is opened when the transport is built, and again right
+    after a request fails on it, so connection setup never lands inside a
+    timed exchange such as a SYNC. If connecting fails, the next request
+    connects again and reports the failure.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -75,6 +76,9 @@ class TcpTransport:
         self.port = port
         self._sock: socket.socket | None = None
         self._rfile = None
+        self._try_connect()
+
+    def _try_connect(self) -> None:
         try:
             self._connect()
         except OSError:
@@ -96,7 +100,10 @@ class TcpTransport:
                 raise ConnectionError("counter closed the connection")
             return raw.decode("utf-8").rstrip("\r\n")
         except (OSError, ConnectionError) as exc:
+            connected = self._sock is not None
             self.close()
+            if connected:
+                self._try_connect()
             raise TransportError(str(exc)) from exc
 
     def close(self) -> None:

@@ -2,15 +2,17 @@
 
 The counter accepts one wire line per exchange, enforces the per-round
 acceptance window and token, counts each (round, nonce) pair at most once,
-and appends every tally-relevant event to an append-only text log *before*
-acknowledging, so replaying the log always reconstructs the exact state:
+and appends every tally-relevant event to an append-only text log, so
+replaying the log always reconstructs the exact state:
 
     <arrival_ms> ACCEPT <report line>
     <arrival_ms> REJECT <offending line>
     <arrival_ms> SURVEY <survey line>
     <arrival_ms> CLOSE <kind> <index>
 
-Sync exchanges are answered but not logged; they carry no tally state.
+An answer goes out only after an fsync that covers its event; requests
+logged while an fsync is due share it (group commit). Sync exchanges are
+answered at once and not logged; they carry no tally state.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .protocol import (
 from .timesync import Clock, SystemClock
 
 MAX_LINE_BYTES = 8192  # longest request line, without its "\n"
+READ_BYTES = 8192  # most bytes one read of a connection takes
 CLOSE_POLL_S = 0.2
 
 TAG_ACCEPT = "ACCEPT"
@@ -120,35 +123,61 @@ def _drop_torn_tail(path: str | Path) -> None:
 
 
 class EventLog:
-    """Append-only sink; an append is durable before the caller proceeds.
+    """Append-only sink; `sync` makes what was appended durable.
 
     With a path, lines go to that file only; without one (the simulator's
-    in-memory log) they are kept in `lines`.
+    in-memory log) they are kept in `lines`. Appends are serialized by the
+    caller; `sync` may run concurrently with them and with other syncs.
     """
 
     def __init__(self, path: str | Path | None = None, fsync: bool = True) -> None:
         self.lines: list[str] = []
         self._fsync = fsync
         self._fh: IO[str] | None = None
+        self._closed = False
+        # lines written to the file, and lines a finished fsync covers; a
+        # flag instead would lose an append that races an fsync in progress
+        self._appended = 0
+        self._synced = 0
+        self._sync_lock = threading.Lock()
         if path is not None:
             _drop_torn_tail(path)
             self._fh = open(path, "a", encoding="utf-8")
 
     def append(self, arrival_ms: int, tag: str, raw: str) -> str:
         line = f"{arrival_ms} {tag} {raw}"
+        if self._closed:
+            raise CounterError("the log is closed")
         if self._fh is None:
             self.lines.append(line)
         else:
             self._fh.write(line + "\n")
             self._fh.flush()
-            if self._fsync:
-                os.fsync(self._fh.fileno())
+            self._appended += 1
         return line
 
+    def sync(self) -> None:
+        """Return once every line appended before the call is durable.
+
+        Concurrent callers queue on one lock; an fsync covers every line
+        flushed before it starts, so a caller whose lines an earlier fsync
+        covered returns without one.
+        """
+        target = self._appended
+        with self._sync_lock:
+            if self._synced >= target or self._fh is None or not self._fsync:
+                return
+            covered = self._appended
+            os.fsync(self._fh.fileno())
+            self._synced = covered
+
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self.sync()
+        with self._sync_lock:
+            self._closed = True
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 class CounterCore:
@@ -356,29 +385,73 @@ def log_distribution(events: Iterable[LogEvent]) -> tuple[list[int], int]:
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
+    """Frames request lines and answers them in batches (group commit).
+
+    Each read takes what the connection has ready. Its complete lines are
+    handled in order; then one `EventLog.sync` covers the events they
+    logged, and one write sends their answers. A SYNC is answered on its
+    own: the answers ahead of it are committed first, and its SYNCR, which
+    logs nothing, goes out at once without waiting for any fsync.
+    """
+
     def handle(self) -> None:
-        service: CounterService = self.server.service  # type: ignore[attr-defined]
-        while True:
-            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if not raw:
-                return
-            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                # one answer per line: skip the rest, and never decode a prefix
-                rest = raw
-                while rest and not rest.endswith(b"\n"):
-                    rest = self.rfile.readline(MAX_LINE_BYTES)
-                response = service.reject_overlong(raw[:MAX_LINE_BYTES])
-            else:
-                try:
-                    line = raw.decode("utf-8").rstrip("\r\n")
-                except UnicodeDecodeError:
-                    line = ""
-                response = service.handle(line)
-            try:
-                self.wfile.write(response.encode("utf-8") + b"\n")
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                return
+        self.service: CounterService = self.server.service  # type: ignore[attr-defined]
+        self.answers: list[bytes] = []
+        self.logged = False  # whether a pending answer's request was logged
+        pending = b""  # a line whose "\n" has not arrived yet
+        skipping = False  # inside an over-long line, discarding up to its "\n"
+        try:
+            while chunk := self.rfile.read1(READ_BYTES):
+                lines = (pending + chunk).split(b"\n")
+                pending = lines.pop()
+                for line in lines:
+                    if skipping:
+                        skipping = False
+                    else:
+                        self._request(line)
+                if skipping:
+                    pending = b""
+                elif len(pending) > MAX_LINE_BYTES:
+                    self._request(pending)
+                    pending, skipping = b"", True
+                self._commit()
+            if pending:  # a last line without "\n", then end of stream
+                self._request(pending)
+                self._commit()
+        except (BrokenPipeError, ConnectionResetError):
+            return
+        except CounterError:
+            return  # the service stopped and closed its log: no answer
+
+    def _request(self, raw: bytes) -> None:
+        if len(raw) > MAX_LINE_BYTES:
+            # one answer per line: the rest is skipped, and a prefix never decoded
+            self._answer(self.service.reject_overlong(raw[:MAX_LINE_BYTES]))
+            return
+        try:
+            line = raw.decode("utf-8").rstrip("\r")
+        except UnicodeDecodeError:
+            line = ""
+        sync = line.startswith("SYNC")
+        if sync:
+            self._commit()
+        self._answer(self.service.handle(line))
+        if sync:
+            self._commit()
+
+    def _answer(self, response: str) -> None:
+        self.answers.append(response.encode("utf-8") + b"\n")
+        # every request but a sync exchange is logged
+        self.logged = self.logged or not response.startswith("SYNCR ")
+
+    def _commit(self) -> None:
+        """Make the pending answers' events durable, then send the answers."""
+        if not self.answers:
+            return
+        if self.logged:
+            self.service.core.log.sync()
+        self.wfile.write(b"".join(self.answers))
+        self.answers, self.logged = [], False
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -453,6 +526,7 @@ class CounterService:
             with self._lock:
                 self.core.close_due(self.clock.now_ms())
                 done = self.core.all_closed()
+            self.core.log.sync()
             if done and self._until_complete:
                 self.shutdown()
                 return
@@ -464,7 +538,10 @@ class CounterService:
         finally:
             self._stopping.set()
             self._server.server_close()
-            self.core.log.close()
+            # connections still open are served on; under the lock, no request
+            # is logged after the final fsync, and later ones fail to log
+            with self._lock:
+                self.core.log.close()
 
     def start_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

@@ -151,6 +151,30 @@ class TestSyncAndSurvey:
             service.shutdown()
         assert (est.offset_ms, est.delay_ms) == (0, 0)
 
+    def test_reconnect_stays_out_of_the_next_sample(self, config, monkeypatch):
+        # as above, but the connection fails first: connecting again inside
+        # the next exchange would read as offset 150, delay 300
+        clock = FakeClock(start_ms=5000)
+        service = CounterService(config, ("127.0.0.1", 0), fsync=False, clock=clock)
+        service.start_background()
+        connect = socket.create_connection
+
+        def slow_connect(*args, **kwargs):
+            clock.t += 300
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", slow_connect)
+        transport = TcpTransport(*service.address)
+        try:
+            transport._sock.shutdown(socket.SHUT_WR)
+            with pytest.raises(TransportError):
+                transport.request("SYNC 1")
+            est = sync_clock(transport, clock, samples=1)
+        finally:
+            transport.close()
+            service.shutdown()
+        assert (est.offset_ms, est.delay_ms) == (0, 0)
+
     def test_sync_total_failure(self, config):
         clock = FakeClock()
         transport = LoopbackTransport(CounterCore(config), clock, drop=lambda _line: True)

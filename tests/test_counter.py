@@ -1,5 +1,8 @@
+import os
 import socket
+import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from rollcall.protocol import (
     encode_message,
 )
 
-from conftest import make_config
+from conftest import FakeClock, make_config
 
 
 def report_for(config, round, nonce):
@@ -570,3 +573,251 @@ class TestService:
         events = read_log(tmp_path / "svc.log")
         assert [e.tag for e in events] == ["REJECT"]
         assert events[0].raw.encode() == self._longest_survey()
+
+    def test_no_answer_after_the_log_is_closed(self, tmp_path):
+        now = int(time.time() * 1000)
+        config = make_config(epoch_ms=now - 11_000, delta_t_ms=100_000, delta_tau_ms=10_000,
+                             grace_ms=60_000)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", fsync=False)
+        thread = service.start_background()
+        token = derive_token(config.secret, RoundRef.cal(0))
+        with socket.create_connection(service.address, timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(f"REPORT CAL 0 before-stop {token}\n".encode())
+            assert reader.readline() == b"ACK CAL 0\n"
+            service.shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            # the connection outlives the service; a report it cannot log is not answered
+            sock.sendall(f"REPORT CAL 0 after-stop {token}\n".encode())
+            assert reader.read() == b""
+        assert [e.raw.split(" ")[3] for e in read_log(tmp_path / "svc.log")] == ["before-stop"]
+
+    def _pieces(self, service, pieces, pause_s=0.1):
+        """Send `pieces` on one connection with a pause after each, half-close,
+        and return every answer line the counter sends before it closes."""
+        with socket.create_connection(service.address, timeout=5) as sock:
+            for piece in pieces:
+                sock.sendall(piece)
+                time.sleep(pause_s)
+            sock.shutdown(socket.SHUT_WR)
+            return sock.makefile("rb").read().decode().split("\n")[:-1]
+
+    def test_line_split_across_sends(self, tmp_path):
+        config, service = self._live_service(tmp_path)
+        token = derive_token(config.secret, RoundRef.cal(0))
+        try:
+            answers = self._pieces(
+                service, [b"SYNC 4\nREPORT CAL 0 split", f"-01 {token}\nSYNC 5\n".encode()]
+            )
+        finally:
+            service.shutdown()
+        assert answers[0].startswith("SYNCR 4 ")
+        assert answers[1] == "ACK CAL 0"
+        assert answers[2].startswith("SYNCR 5 ")
+        assert len(answers) == 3
+        events = read_log(tmp_path / "svc.log")
+        assert [e.tag for e in events] == ["ACCEPT"]
+        assert "split-01" in events[0].raw
+
+    def test_overlong_line_in_pieces_gets_one_answer(self, tmp_path):
+        config, service = self._live_service(tmp_path)
+        token = derive_token(config.secret, RoundRef.cal(0))
+        try:
+            answers = self._pieces(
+                service,
+                [b"X" * 5000, b"X" * 5000, b"X" * 9000,
+                 f"\nREPORT CAL 0 after-long {token}\n".encode()],
+            )
+        finally:
+            service.shutdown()
+        assert answers == ["REJ MALFORMED", "ACK CAL 0"]
+        events = read_log(tmp_path / "svc.log")
+        assert [e.tag for e in events] == ["REJECT", "ACCEPT"]
+        assert events[0].raw == "X" * MAX_LINE_BYTES
+
+    def test_crlf_line_endings(self, tmp_path):
+        config, service = self._live_service(tmp_path)
+        token = derive_token(config.secret, RoundRef.cal(0))
+        try:
+            answers = self._pieces(
+                service, [f"SYNC 6\r\nREPORT CAL 0 crlf-0001 {token}\r\n".encode()]
+            )
+        finally:
+            service.shutdown()
+        assert answers[0].startswith("SYNCR 6 ")
+        assert answers[1:] == ["ACK CAL 0"]
+        events = read_log(tmp_path / "svc.log")
+        assert [e.raw for e in events] == [f"REPORT CAL 0 crlf-0001 {token}"]
+
+    def test_last_line_without_newline_before_half_close(self, tmp_path):
+        config, service = self._live_service(tmp_path)
+        token = derive_token(config.secret, RoundRef.cal(0))
+        try:
+            answers = self._pieces(
+                service, [f"SYNC 9\nREPORT CAL 0 no-newline {token}".encode()]
+            )
+        finally:
+            service.shutdown()
+        assert answers[0].startswith("SYNCR 9 ")
+        assert answers[1:] == ["ACK CAL 0"]
+        assert [e.tag for e in read_log(tmp_path / "svc.log")] == ["ACCEPT"]
+
+
+class TestGroupCommit:
+    """With fsync on, answers wait for an fsync that covers their events."""
+
+    @staticmethod
+    def _service(tmp_path):
+        config = make_config()
+        cal0 = RoundRef.cal(0)
+        clock = FakeClock(start_ms=config.window_open(cal0))
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log",
+                                 fsync=True, clock=clock)
+        service.start_background()
+        return config, clock, service
+
+    @staticmethod
+    def _burst(config, prefix, n):
+        """`n` REPORT lines with distinct nonces; every fifth has a bad token."""
+        good = derive_token(config.secret, RoundRef.cal(0))
+        bad = derive_token("other-secret", RoundRef.cal(0))
+        return [(f"{prefix}-{i:04d}", "REJ BADTOKEN" if i % 5 == 4 else "ACK CAL 0",
+                 f"REPORT CAL 0 {prefix}-{i:04d} {bad if i % 5 == 4 else good}")
+                for i in range(n)]
+
+    @staticmethod
+    def _line_ends(path):
+        """Byte offset of the end of each log line, keyed by the line's text."""
+        ends, offset = {}, 0
+        for line in Path(path).read_bytes().split(b"\n")[:-1]:
+            offset += len(line) + 1
+            ends[line.decode()] = offset
+        return ends
+
+    def test_concurrent_syncs_cover_every_append(self, tmp_path, monkeypatch):
+        # more threads than cores, switching often: each sync must cover the
+        # caller's own append even when it lands during another thread's fsync
+        durable = {"size": 0}
+
+        def recording_fsync(fd):
+            size = os.fstat(fd).st_size
+            time.sleep(0.0005)
+            durable["size"] = max(durable["size"], size)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        log = EventLog(tmp_path / "stress.log", fsync=True)
+        append_lock = threading.Lock()  # the service lock's role
+        late: list[int] = []
+
+        def worker(n):
+            for i in range(150):
+                with append_lock:
+                    log.append(i, "CLOSE", f"CAL {n}")
+                    end = (tmp_path / "stress.log").stat().st_size
+                log.sync()
+                if durable["size"] < end:
+                    late.append(end)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            log.close()
+        assert not any(t.is_alive() for t in threads)
+        assert late == []
+        assert len(read_log(tmp_path / "stress.log")) == 6 * 150
+
+    def test_no_answer_before_its_event_is_durable(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+        durable = {"size": 0, "calls": 0}
+
+        def recording_fsync(fd):
+            # an fsync covers what was written before it started; publish that
+            # size only once it returns, after a pause that gives an answer
+            # sent too early time to reach its client first
+            size = os.fstat(fd).st_size
+            time.sleep(0.005)
+            real_fsync(fd)
+            durable["size"] = max(durable["size"], size)
+            durable["calls"] += 1
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        config, clock, service = self._service(tmp_path)
+        seen: dict[str, tuple[str, int]] = {}  # nonce -> (answer, durable size when read)
+
+        def client(prefix):
+            burst = self._burst(config, prefix, 60)
+            with socket.create_connection(service.address, timeout=5) as sock:
+                sock.sendall("".join(line + "\n" for _, _, line in burst).encode())
+                reader = sock.makefile("rb")
+                for nonce, _, _ in burst:
+                    answer = reader.readline().decode().rstrip("\n")
+                    seen[nonce] = (answer, durable["size"])
+
+        try:
+            threads = [threading.Thread(target=client, args=(p,)) for p in ("conn-a", "conn-b")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            # the close loop closes CAL 0 once its window has passed
+            clock.t = config.window_close(RoundRef.cal(0)) + 1
+            close_line = f"{clock.t} CLOSE CAL 0"
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                end = self._line_ends(tmp_path / "svc.log").get(close_line)
+                if end is not None and durable["size"] >= end:
+                    break
+                time.sleep(0.05)
+            closed_durable = durable["size"]  # before shutdown's own final sync
+        finally:
+            service.shutdown()
+
+        ends = self._line_ends(tmp_path / "svc.log")
+        by_nonce = {line.split(" ")[5]: end for line, end in ends.items()
+                    if line.split(" ")[1] in ("ACCEPT", "REJECT")}
+        assert len(seen) == len(by_nonce) == 120
+        for prefix in ("conn-a", "conn-b"):
+            for nonce, expected, _ in self._burst(config, prefix, 60):
+                answer, durable_size = seen[nonce]
+                assert answer == expected
+                assert by_nonce[nonce] <= durable_size, f"{nonce} answered before its fsync"
+        assert durable["calls"] < 120
+        assert ends[close_line] <= closed_durable, "the close loop's CLOSE was not fsynced"
+
+    def test_sync_never_waits_for_an_fsync(self, tmp_path, monkeypatch):
+        in_fsync = threading.Event()
+
+        def slow_fsync(fd):
+            in_fsync.set()
+            time.sleep(0.3)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        config, clock, service = self._service(tmp_path)
+        burst = self._burst(config, "slow", 20)
+        try:
+            with socket.create_connection(service.address, timeout=5) as a, \
+                    socket.create_connection(service.address, timeout=5) as b:
+                reader_b = b.makefile("rb")
+                b.sendall(b"SYNC 1\n")  # both connections are served before timing
+                assert reader_b.readline().startswith(b"SYNCR 1 ")
+                a.sendall("".join(line + "\n" for _, _, line in burst).encode())
+                assert in_fsync.wait(5)
+                started = time.monotonic()
+                b.sendall(b"SYNC 2\n")
+                answer = reader_b.readline()
+                elapsed = time.monotonic() - started
+                reader_a = a.makefile("rb")
+                answers_a = [reader_a.readline().decode().rstrip("\n") for _ in burst]
+        finally:
+            service.shutdown()
+        assert answer.startswith(b"SYNCR 2 ")
+        assert elapsed < 0.1, f"SYNC answered after {elapsed * 1000:.0f} ms"
+        assert answers_a == [expected for _, expected, _ in burst]
