@@ -124,6 +124,22 @@ def _make_terminal_survey() -> client_mod.SurveyFn:
 
 def cmd_client(args: argparse.Namespace) -> int:
     config = _load_config_or_exit(args.config)
+    if args.activity:
+        activity = client_mod.activity_from_file(args.activity)
+    else:
+        activity = lambda _start, _end: []
+    if args.uptime:
+        uptime = client_mod.uptime_from_file(args.uptime)
+    else:
+        uptime = lambda: []
+    # the runner reads the sources only once a window has passed; a file
+    # that is unreadable from the start is an error now, not a violation later
+    try:
+        activity(0, 0)
+        uptime()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     host, port = args.counter
     transport = client_mod.TcpTransport(host, port)
     options = client_mod.ClientOptions(
@@ -135,14 +151,6 @@ def cmd_client(args: argparse.Namespace) -> int:
         consent: client_mod.ConsentFn = lambda _round, _deadline: True
     else:
         consent = _terminal_consent
-    if args.activity:
-        activity = client_mod.activity_from_file(args.activity)
-    else:
-        activity = lambda _start, _end: []
-    if args.uptime:
-        uptime = client_mod.uptime_from_file(args.uptime)
-    else:
-        uptime = lambda: []
     survey = None if args.assume_yes else _make_terminal_survey()
     runner = client_mod.ClientRunner(
         config,

@@ -1,9 +1,9 @@
 """The distributed volunteer client.
 
-Per round: prompt the user, monitor the no-interaction window, and report
-compliance to the counter; at the execution round, certify the shutdown from
-uptime records after reconnection and offer the questionnaire when the plan
-was not followed.
+Per round: prompt the user, wait until the no-interaction window has passed,
+judge it from the activity events (at a calibration round) or the uptime
+records (at the execution round), and report compliance to the counter; a
+failed shutdown leads to the questionnaire.
 
 Activity events and uptime records come from pluggable sources (plain-text
 files in the shipped implementations; the simulator injects them), so the
@@ -216,9 +216,11 @@ def parse_uptime_text(text: str) -> list[UptimeRecord]:
 
 
 def activity_from_file(path: str | Path) -> Callable[[int, int], list[ActivityEvent]]:
-    events = parse_activity_text(Path(path).read_text(encoding="utf-8"))
+    """A source that reads the file on every query, so appended events count."""
+    path = Path(path)
 
     def events_between(start_ms: int, end_ms: int) -> list[ActivityEvent]:
+        events = parse_activity_text(path.read_text(encoding="utf-8"))
         return [e for e in events if start_ms <= e.timestamp_ms <= end_ms]
 
     return events_between
@@ -365,16 +367,9 @@ class ClientRunner:
         self.survey = survey
         self.notify = notify if notify is not None else lambda _line: None
         self.outcomes: dict[RoundRef, RoundOutcome] = {}
-        self.trace: list[tuple[str, str]] = []  # ("send"|"recv", line)
         self._estimate: ClockEstimate | None = None
 
     # -- plumbing ---------------------------------------------------------
-
-    def _request(self, line: str) -> str:
-        self.trace.append(("send", line))
-        response = self.transport.request(line)
-        self.trace.append(("recv", response))
-        return response
 
     def _counter_now(self) -> int:
         assert self._estimate is not None
@@ -386,9 +381,7 @@ class ClientRunner:
 
     def _sync(self) -> bool:
         try:
-            self._estimate = sync_clock(
-                TracedTransport(self), self.clock, self.options.sync_samples
-            )
+            self._estimate = sync_clock(self.transport, self.clock, self.options.sync_samples)
             return True
         except ClockSyncError:
             return False
@@ -415,44 +408,37 @@ class ClientRunner:
         return self.outcomes
 
     def _run_round(self, round: RoundRef) -> RoundOutcome:
-        # a calibration round needs the client present from its start
-        # (monitoring is live); the execution round is certified from uptime
-        # records afterwards and stays open until its report window closes
+        # a calibration round needs the client present from its start; the
+        # execution round is certified from uptime records after reconnection
+        # and stays open until its report window closes
         start = self.config.round_start(round)
         last_chance = self.config.window_close(round) if round.is_execution else start
         if self._counter_now() > last_chance:
             return RoundOutcome.SKIPPED
         self._wait_counter(start - self.options.prompt_lead_ms)
         self._sync()  # best-effort refresh; the previous estimate stays valid
-        if round.is_execution:
-            return self._run_execution(round)
-        return self._run_calibration(round)
-
-    def _consents(self, round: RoundRef) -> bool:
         assert self._estimate is not None
-        deadline = self.config.round_start(round) - self._estimate.offset_ms
-        return self.consent(round, deadline)
-
-    def _run_calibration(self, round: RoundRef) -> RoundOutcome:
-        if not self._consents(round):
+        if not self.consent(round, start - self._estimate.offset_ms):
             return RoundOutcome.DECLINED
-        start = self.config.round_start(round)
-        self._wait_counter(start)
-        window_end = self.config.window_open(round)
-        if first_violation(self.activity(start, window_end), start, window_end) is not None:
-            return RoundOutcome.VIOLATED
-        return self._send_report(round)
-
-    def _run_execution(self, round: RoundRef) -> RoundOutcome:
-        if not self._consents(round):
-            return RoundOutcome.DECLINED
-        # the host is nominally powered off during [t*, t* + delta_tau];
-        # certification happens from records after reconnection
-        self._wait_counter(self.config.window_open(round))
-        records = self.uptime()
-        if certify_shutdown(records, self.config):
+        window_open = self.config.window_open(round)
+        self._wait_counter(window_open)
+        # the window has passed: judge it from the sources as they read now;
+        # a source that cannot be read or parsed counts as a violation
+        records: list[UptimeRecord] | None = None
+        try:
+            if round.is_execution:
+                records = self.uptime()
+                complied = certify_shutdown(records, self.config)
+            else:
+                events = self.activity(start, window_open)
+                complied = first_violation(events, start, window_open) is None
+        except (OSError, ValueError) as exc:
+            self.notify(f"round {round.wire()}: unreadable source: {exc}")
+            complied = False
+        if complied:
             return self._send_report(round)
-        self._offer_survey(forced_obstacle=not records_well_formed(records))
+        if round.is_execution:
+            self._offer_survey(forced_obstacle=records is None or not records_well_formed(records))
         return RoundOutcome.VIOLATED
 
     def _send_report(self, round: RoundRef) -> RoundOutcome:
@@ -462,7 +448,7 @@ class ClientRunner:
         self._wait_counter(self.config.window_open(round) + self.options.send_margin_ms)
         while self._counter_now() <= self.config.window_close(round):
             try:
-                step = report_step(self._request(line))
+                step = report_step(self.transport.request(line))
             except TransportError:
                 step = ReportStep.RETRY
             if step is ReportStep.DONE:
@@ -480,15 +466,5 @@ class ClientRunner:
         if answer is None:
             return
         code, text = answer
-        sent = run_survey(TracedTransport(self), self.options.nonce, code, text)
+        sent = run_survey(self.transport, self.options.nonce, code, text)
         self.notify(f"survey {code}: {'sent' if sent else 'dropped'}")
-
-
-class TracedTransport:
-    """Routes requests through a runner so its trace stays complete."""
-
-    def __init__(self, runner: ClientRunner) -> None:
-        self._runner = runner
-
-    def request(self, line: str) -> str:
-        return self._runner._request(line)

@@ -354,12 +354,11 @@ def replay_events(
 
 
 def replay_log_file(
-    config: ExperimentConfig, path: str | Path, attach: bool = True, fsync: bool = True
+    config: ExperimentConfig, path: str | Path, fsync: bool = True
 ) -> CounterCore:
-    """Recover state from a log file and keep appending to it when `attach`."""
+    """Recover state from a log file and keep appending to it."""
     events = read_log(path) if Path(path).exists() else []
-    log = EventLog(path, fsync=fsync) if attach else None
-    return replay_events(config, events, log=log)
+    return replay_events(config, events, log=EventLog(path, fsync=fsync))
 
 
 def log_distribution(events: Iterable[LogEvent]) -> tuple[list[int], int]:
@@ -487,7 +486,7 @@ class CounterService:
         self._until_complete = until_complete
         if log_path is not None:
             try:
-                self.core = replay_log_file(config, log_path, attach=True, fsync=fsync)
+                self.core = replay_log_file(config, log_path, fsync=fsync)
             except OSError as exc:
                 raise CounterError(f"cannot open log {log_path}: {exc}") from exc
         else:

@@ -90,6 +90,8 @@ class ScenarioSpec:
             raise ValueError("delta must lie in [0, 1]")
         if self.scenario not in (DEFENSE, COPING):
             raise ValueError(f"scenario must be {DEFENSE} or {COPING}")
+        if self.send_jitter_ms < 0:
+            raise ValueError("send_jitter_ms must be non-negative")
 
     @property
     def execution_probability(self) -> float:

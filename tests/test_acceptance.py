@@ -15,7 +15,7 @@ import mpmath
 
 from rollcall import sim, stats
 from rollcall.client import ClientOptions, ClientRunner, TcpTransport, TransportError, UptimeRecord
-from rollcall.counter import CounterService, replay_log_file
+from rollcall.counter import CounterService, read_log, replay_events
 from rollcall.protocol import (
     REJECT_REASONS,
     Ack,
@@ -402,7 +402,7 @@ def test_criterion_9_crash_recovery(tmp_path):
     with open(log_path, "ab") as fh:
         fh.write(b"999 ACCEPT REPORT CAL 0 torn-")  # torn write from the crash
 
-    replayed = replay_log_file(config, log_path, attach=False)
+    replayed = replay_events(config, read_log(log_path))
     assert {r: t.count for r, t in replayed.tallies.items()} == tallies_before
     assert replayed.seen == seen_before
 

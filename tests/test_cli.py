@@ -228,6 +228,48 @@ class TestCounterAndClientErrors:
         assert "synchronize" in capsys.readouterr().err
 
 
+class TestClientSourceFiles:
+    """A bad activity or uptime file stops the client before it starts."""
+
+    def run_client(self, tmp_path, *source_args):
+        conf = tmp_path / "ok.conf"
+        conf.write_text(format_config(make_config()))
+        sock = socket.socket()
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+        sock.close()  # nothing listens here: the client must stop before connecting
+        return subprocess.run(
+            [sys.executable, "-m", "rollcall.cli", "client", "--config", str(conf),
+             "--counter", f"127.0.0.1:{port}", "--assume-yes", "--sync-samples", "1",
+             *source_args],
+            capture_output=True, text=True, timeout=30,
+        )
+
+    def test_missing_activity_file(self, tmp_path):
+        missing = tmp_path / "no-such-activity.txt"
+        done = self.run_client(tmp_path, "--activity", str(missing))
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("error: ")
+        assert str(missing) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_malformed_activity_file(self, tmp_path):
+        activity = tmp_path / "activity.txt"
+        activity.write_text("100\nnoon\n")
+        done = self.run_client(tmp_path, "--activity", str(activity))
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("error: activity file line 2:")
+        assert "Traceback" not in done.stderr
+
+    def test_malformed_uptime_file(self, tmp_path):
+        uptime = tmp_path / "uptime.txt"
+        uptime.write_text("SIDEWAYS 100\n")
+        done = self.run_client(tmp_path, "--uptime", str(uptime))
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("error: uptime file line 1:")
+        assert "Traceback" not in done.stderr
+
+
 class TestLiveSubcommands:
     def test_counter_and_client_processes(self, tmp_path):
         """Two real processes complete a compressed schedule end to end."""

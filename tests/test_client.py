@@ -104,6 +104,15 @@ class TestFileSources:
         assert events(0, 1000) == [ActivityEvent(100), ActivityEvent(250), ActivityEvent(300)]
         assert events(200, 260) == [ActivityEvent(250)]
 
+    def test_activity_file_is_read_on_every_query(self, tmp_path):
+        path = tmp_path / "activity.txt"
+        path.write_text("100\n")
+        events = activity_from_file(path)
+        assert events(0, 1000) == [ActivityEvent(100)]
+        with open(path, "a") as fh:
+            fh.write("500\n")
+        assert events(0, 1000) == [ActivityEvent(100), ActivityEvent(500)]
+
     def test_activity_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_activity_text("100\nnoon\n")
@@ -372,9 +381,19 @@ class TestRunnerLifecycle:
         def run_once():
             clock = FakeClock(start_ms=config.epoch_ms - 10_000)
             core = CounterCore(config)
-            runner, _ = make_runner(config, core, clock, uptime=full_uptime(config))
+            runner, transport = make_runner(config, core, clock, uptime=full_uptime(config))
+            trace = []  # ("send"|"recv", line)
+            forward = transport.request
+
+            def request(line):
+                trace.append(("send", line))
+                response = forward(line)
+                trace.append(("recv", response))
+                return response
+
+            transport.request = request
             runner.run()
-            return runner.trace
+            return trace
 
         assert run_once() == run_once()
 
@@ -414,6 +433,82 @@ class TestRunnerLifecycle:
         outcomes = runner.run()
         assert outcomes[RoundRef.exe()] == RoundOutcome.DECLINED
         assert not any(l.startswith("SURVEY") for l in transport.requests)
+
+
+class TestRunnerJudgesAfterWindow:
+    """Compliance is judged once the window has passed, from sources read then."""
+
+    def test_sources_are_queried_after_window_open(self, config):
+        # the loopback counter reads the same clock, so counter time is clock.t
+        clock = FakeClock(start_ms=config.epoch_ms - 10_000)
+        queries = []
+
+        def activity(start, end):
+            queries.append((start, clock.t))
+            return []
+
+        def uptime():
+            queries.append((config.t_star_ms, clock.t))
+            return full_uptime(config)()
+
+        runner, _ = make_runner(config, CounterCore(config), clock,
+                                activity=activity, uptime=uptime)
+        outcomes = runner.run()
+        assert set(outcomes.values()) == {RoundOutcome.REPORTED}
+        starts = [config.round_start(r) for r in config.rounds()]
+        assert [start for start, _ in queries] == starts
+        for round, (_, at) in zip(config.rounds(), queries):
+            assert at >= config.window_open(round)
+
+    def test_event_appended_mid_window_is_a_violation(self, config, tmp_path):
+        path = tmp_path / "activity.txt"
+        path.write_text("# monitor started\n")
+        touch = config.round_start(RoundRef.cal(0)) + config.delta_tau_ms // 2
+
+        class TouchingClock(FakeClock):
+            def sleep_ms(self, duration_ms):
+                before = self.t
+                super().sleep_ms(duration_ms)
+                if before < touch <= self.t:
+                    with open(path, "a") as fh:
+                        fh.write(f"{touch}\n")
+
+        clock = TouchingClock(start_ms=config.epoch_ms - 10_000)
+        runner, transport = make_runner(config, CounterCore(config), clock,
+                                        activity=activity_from_file(path),
+                                        uptime=full_uptime(config))
+        outcomes = runner.run()
+        assert outcomes[RoundRef.cal(0)] == RoundOutcome.VIOLATED
+        assert outcomes[RoundRef.cal(1)] == RoundOutcome.REPORTED
+        assert not any(l.startswith("REPORT CAL 0 ") for l in transport.requests)
+
+    @pytest.mark.parametrize("error", [OSError("disk gone"), ValueError("activity file line 1")])
+    def test_raising_activity_source_is_a_violation(self, config, error):
+        def activity(start, end):
+            raise error
+
+        clock = FakeClock(start_ms=config.epoch_ms - 10_000)
+        runner, transport = make_runner(config, CounterCore(config), clock,
+                                        activity=activity, uptime=full_uptime(config))
+        outcomes = runner.run()
+        assert [outcomes[RoundRef.cal(i)] for i in range(config.n_rounds)] == (
+            [RoundOutcome.VIOLATED] * config.n_rounds
+        )
+        assert outcomes[RoundRef.exe()] == RoundOutcome.REPORTED
+        assert not any(l.startswith("REPORT CAL ") for l in transport.requests)
+
+    @pytest.mark.parametrize("error", [OSError("disk gone"), ValueError("uptime file line 1")])
+    def test_raising_uptime_source_is_a_violation(self, config, error):
+        def uptime():
+            raise error
+
+        clock = FakeClock(start_ms=config.epoch_ms - 10_000)
+        runner, transport = make_runner(config, CounterCore(config), clock, uptime=uptime)
+        outcomes = runner.run()
+        assert outcomes[RoundRef.exe()] == RoundOutcome.VIOLATED
+        assert not any(l.startswith("REPORT EXE ") for l in transport.requests)
+        # unreadable records are an obstacle to certification, as malformed ones are
+        assert any(l.startswith("SURVEY") and " OBSTACLE " in l for l in transport.requests)
 
 
 class TestRunnerSchedule:

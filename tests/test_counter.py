@@ -441,7 +441,7 @@ class TestLogInterpreter:
                 core.handle_line(line, at)
                 core.handle_line(f"REPORT CAL 0 nonce-{i:03d} {token}", at)
             core.log.close()
-            replayed = replay_log_file(config, path, attach=False)
+            replayed = replay_events(config, read_log(path))
         assert replayed.seen == core.seen
         assert replayed.surveys == core.surveys
         assert {r: t.count for r, t in replayed.tallies.items()} == {
@@ -485,7 +485,7 @@ class TestService:
         finally:
             service.shutdown()
         # recovery from the on-disk log alone
-        core = replay_log_file(config, log_path, attach=False)
+        core = replay_events(config, read_log(log_path))
         assert core.tallies[RoundRef.cal(0)].count == 1
         assert (RoundRef.cal(0), "live-nonce-1") in core.seen
 

@@ -228,6 +228,9 @@ class TestPlumbing:
             small_spec(delta=-0.1)
         with pytest.raises(ValueError):
             small_spec(scenario="ATTACK")
+        for jitter in (-1, -2):
+            with pytest.raises(ValueError):
+                small_spec(send_jitter_ms=jitter)
         with pytest.raises(ValueError):
             small_spec(net=NetModel(min_latency_ms=10, max_latency_ms=5))
 

@@ -1,6 +1,8 @@
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -185,3 +187,19 @@ class TestAnalyze:
     @given(st.permutations([98, 102, 100, 96, 104]))
     def test_verdict_permutation_invariant(self, counts):
         assert analyze(summarize(counts), 90).verdict == COPING_EVIDENCE
+
+
+def test_null_false_positive_rate_matches_student_t():
+    # under the null, (N* - mean) / (s * sqrt(1 + 1/n)) ~ t_{n-1}, so the rule
+    # z < -z_0.95 fires with probability P(t_9 < -z_0.95 / sqrt(1.1))
+    n, runs = 10, 100_000
+    t = mpmath.mpf(-normal_quantile(0.95)) / mpmath.sqrt(1 + mpmath.mpf(1) / n)
+    nu = n - 1
+    oracle = float(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t**2), regularized=True) / 2)
+    assert oracle == pytest.approx(0.0756, abs=5e-5)
+    draws = np.random.default_rng(20070).binomial(1000, 0.5, size=(runs, n + 1)).tolist()
+    hits = sum(
+        analyze(summarize(row[:n]), row[n]).verdict == COPING_EVIDENCE for row in draws
+    )
+    se = math.sqrt(oracle * (1 - oracle) / runs)
+    assert abs(hits / runs - oracle) <= 4 * se
