@@ -28,7 +28,7 @@ deltas = [0.0, 0.05, 0.1, 0.15, 0.2, 0.4, 1.0]
 print(f"population M={M}, p=0.5, {ROUNDS} calibration rounds, alpha=0.05, {RUNS} runs/point")
 print()
 print("delta   detection_rate   mean_z   ")
-for point in sim.power_curve(base, deltas, runs=RUNS, alpha=0.05, workers=2):
+for point in sim.power_curve(base, deltas, runs=RUNS, alpha=0.05):
     bar = "#" * round(point.detection_rate * 30)
     print(f"{point.delta:<7g} {point.detection_rate:<16.3f} {point.mean_z:+8.2f} {bar}")
 

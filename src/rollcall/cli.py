@@ -21,7 +21,7 @@ from . import client as client_mod
 from . import counter as counter_mod
 from . import sim as sim_mod
 from . import stats
-from .protocol import ConfigError, ExperimentConfig, RoundRef, load_config
+from .protocol import ConfigError, ExperimentConfig, RoundRef, _parse_int, load_config
 from .timesync import SystemClock
 
 EXIT_OK = 0
@@ -38,9 +38,13 @@ _VERDICT_EXIT = {
 
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+    try:
+        number = _parse_int(port)
+    except ValueError:
+        number = -1
+    if not host or not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with PORT in 0-65535, got {text!r}")
+    return host, number
 
 
 def _load_config_or_exit(path: str) -> ExperimentConfig:

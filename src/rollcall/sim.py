@@ -34,6 +34,7 @@ DEFENSE = "DEFENSE"
 COPING = "COPING"
 
 _NET_STREAM_TAG = 0x6E6574  # distinct substream domain for the network
+SHUTDOWN_SLACK_MS = 500  # simulated uptime records cover the shutdown window plus this each side
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,8 @@ class ScenarioSpec:
             raise ValueError(f"scenario must be {DEFENSE} or {COPING}")
         if self.send_jitter_ms < 0:
             raise ValueError("send_jitter_ms must be non-negative")
+        if self.retry_ms < 1:
+            raise ValueError("retry_ms must be at least 1")
 
     @property
     def execution_probability(self) -> float:
@@ -223,6 +226,18 @@ class VirtualNet:
             self.loop.schedule(self.loop.now + up, deliver)
 
 
+def _client_draws(spec: ScenarioSpec, index: int) -> tuple[list[bool], list[int]]:
+    """Client `index`'s participation flags and send jitters, per round with
+    the execution round last, from hashed words of (seed, index): a per-client
+    substream, so growing M never reshuffles the decisions of existing clients."""
+    n = spec.config.n_rounds
+    words = np.random.SeedSequence((spec.seed, index)).generate_state(2 * (n + 1), np.uint32)
+    draws = words[: n + 1] * (1.0 / 2**32)
+    participates = [bool(draws[i] < spec.p_participate) for i in range(n)]
+    participates.append(bool(draws[n] < spec.execution_probability))
+    return participates, (words[n + 1 :] % (spec.send_jitter_ms + 1)).tolist()
+
+
 class SimClient:
     """One scripted participant walking the real round lifecycle."""
 
@@ -231,16 +246,7 @@ class SimClient:
         self.index = index
         self.nonce = f"sim-{index:08d}"
         spec = sim.spec
-        # per-client substream: hashed words from (seed, index), so growing M
-        # never reshuffles the decisions of existing clients
-        n = spec.config.n_rounds
-        words = np.random.SeedSequence((spec.seed, index)).generate_state(
-            2 * (n + 1), np.uint32
-        )
-        draws = words[: n + 1] * (1.0 / 2**32)
-        self.participates = [bool(draws[i] < spec.p_participate) for i in range(n)]
-        self.participates.append(bool(draws[n] < spec.execution_probability))
-        self.jitter = (words[n + 1 :] % (spec.send_jitter_ms + 1)).tolist()
+        self.participates, self.jitter = _client_draws(spec, index)
         self.true_offset = spec.faults.offset_of(index)  # add to local clock for counter time
         self.synced = index not in spec.faults.unsynced and spec.sync_samples > 0
         self.offset_est: int | None = None if self.synced else 0
@@ -333,8 +339,8 @@ class SimClient:
         config = self.sim.spec.config
         skew = self.true_offset - (self.offset_est or 0)
         records = [
-            UptimeRecord("DOWN", config.t_star_ms + skew - 500),
-            UptimeRecord("UP", config.t_star_ms + config.delta_tau_ms + skew + 500),
+            UptimeRecord("DOWN", config.t_star_ms + skew - SHUTDOWN_SLACK_MS),
+            UptimeRecord("UP", config.t_star_ms + config.delta_tau_ms + skew + SHUTDOWN_SLACK_MS),
         ]
         if certify_shutdown(records, config):
             self._try_send(round)
@@ -400,20 +406,23 @@ class Simulation:
         return counts, n_star
 
 
+def _analysis(counts: list[int], n_star: int, alpha: float) -> stats.AnalysisResult | None:
+    try:
+        return stats.analyze(stats.summarize(counts), n_star, alpha)
+    except (ValueError, stats.DegenerateCalibrationError):
+        return None  # no usable calibration spread; the verdict is undefined
+
+
 def run_scenario(
     spec: ScenarioSpec, alpha: float = stats.DEFAULT_ALPHA, capture_trace: bool = True
 ) -> SimOutcome:
     """Simulate one full experiment and analyze it with the real decision rule."""
     sim = Simulation(spec, capture_trace=capture_trace)
     counts, n_star = sim.run()
-    try:
-        analysis = stats.analyze(stats.summarize(counts), n_star, alpha)
-    except (ValueError, stats.DegenerateCalibrationError):
-        analysis = None  # no usable calibration spread; the verdict is undefined
     return SimOutcome(
         counts=counts,
         n_star=n_star,
-        analysis=analysis,
+        analysis=_analysis(counts, n_star, alpha),
         event_trace=sim.trace if sim.trace is not None else [],
         counter_log=list(sim.counter.log.lines),
         sync_offsets=dict(sim.sync_offsets),
@@ -441,41 +450,44 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(child.generate_state(2, np.uint64)[0]) for child in children]
 
 
-def _run_one(args: tuple[ScenarioSpec, int, float]) -> tuple[float, str] | None:
-    spec, child, alpha = args
-    outcome = run_scenario(replace(spec, seed=child), alpha=alpha, capture_trace=False)
-    if outcome.analysis is None:
-        return None
-    return outcome.analysis.z, outcome.analysis.verdict
+def _counts_are_draws(spec: ScenarioSpec) -> bool:
+    """Whether a run surely counts every drawn report, so that its counts are
+    the column sums of the draws: nothing lost or faulted, one sync's worst
+    offset error inside the shutdown slack, every first arrival inside its
+    window, and every sync over before the first window opens and any send."""
+    net, margin = spec.net, spec.send_margin_ms
+    error = (net.max_latency_ms - net.min_latency_ms + net.asym_up_ms + 1) // 2
+    earliest = margin - error + net.min_latency_ms + net.asym_up_ms  # from window open
+    latest = margin + spec.send_jitter_ms + error + net.max_latency_ms + net.asym_up_ms
+    synced_by = spec.sync_samples * (2 * net.max_latency_ms + net.asym_up_ms)
+    first_send = spec.config.window_open(RoundRef.cal(0)) + min(0, margin - error)
+    return (net.loss_prob == 0.0 and spec.faults == FaultPlan() and error <= SHUTDOWN_SLACK_MS
+            and 0 <= earliest and latest <= spec.config.grace_ms and synced_by <= first_send)
 
 
-def monte_carlo(
-    spec: ScenarioSpec, runs: int, alpha: float = stats.DEFAULT_ALPHA, workers: int = 1
-) -> BatchResult:
+def _draw_counts(spec: ScenarioSpec) -> tuple[list[int], int]:
+    *counts, n_star = map(sum, zip(*(_client_draws(spec, i)[0] for i in range(spec.m_clients))))
+    return counts, n_star
+
+
+def monte_carlo(spec: ScenarioSpec, runs: int, alpha: float = stats.DEFAULT_ALPHA) -> BatchResult:
     """Independent replications of a scenario with derived per-run seeds.
 
-    Runs are isolated, so `workers > 1` fans them out over processes; the
-    result is identical to the serial order either way.
+    Where `_counts_are_draws` holds, each run's counts are summed from its
+    clients' draws; elsewhere each run is simulated event by event.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    jobs = [(spec, child, alpha) for child in _child_seeds(spec.seed, runs)]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_run_one, jobs, chunksize=max(1, runs // (workers * 8)))
-    else:
-        results = [_run_one(job) for job in jobs]
+    drawn = _counts_are_draws(spec)
     detections = 0
     zs: list[float] = []
-    for result in results:
-        if result is None:
-            continue
-        z, verdict = result
-        zs.append(z)
-        if verdict == stats.COPING_EVIDENCE:
-            detections += 1
+    for child in _child_seeds(spec.seed, runs):
+        run = replace(spec, seed=child)
+        counts, n_star = _draw_counts(run) if drawn else Simulation(run, capture_trace=False).run()
+        analysis = _analysis(counts, n_star, alpha)
+        if analysis is not None:
+            zs.append(analysis.z)
+            detections += analysis.verdict == stats.COPING_EVIDENCE
     mean_z = float(np.mean(zs)) if zs else float("nan")
     return BatchResult(
         runs=runs,
@@ -498,7 +510,6 @@ def power_curve(
     deltas: list[float],
     runs: int,
     alpha: float = stats.DEFAULT_ALPHA,
-    workers: int = 1,
 ) -> list[PowerPoint]:
     """Detection rate of the coping verdict as a function of suppression delta."""
     if runs < 100:
@@ -511,6 +522,6 @@ def power_curve(
             delta=delta,
             seed=_child_seeds(spec_base.seed, di + 1)[-1],
         )
-        batch = monte_carlo(spec, runs, alpha=alpha, workers=workers)
+        batch = monte_carlo(spec, runs, alpha=alpha)
         points.append(PowerPoint(delta=delta, detection_rate=batch.detection_rate, mean_z=batch.mean_z))
     return points

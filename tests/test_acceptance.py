@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The statistical criteria run the full simulator at study scale, so this file
-is the slowest in the suite (a few minutes in total). Each test prints
+The statistical criteria run study-scale Monte Carlo batches and criterion 8
+a live TCP experiment, so this file is the slowest in the suite (about a
+minute and a half in total). Each test prints
 `[criterion N] PASS ...` so the run log doubles as the acceptance report.
 """
 
@@ -10,6 +11,7 @@ import random
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import mpmath
 
@@ -33,6 +35,7 @@ from rollcall.protocol import (
 from rollcall.timesync import SyncSample, SystemClock, estimate
 
 from test_protocol import GOLDEN_TOKENS
+from test_stats import student_t_false_positive_rate
 
 
 def report(n, detail):
@@ -186,8 +189,7 @@ def study_spec(scenario, delta, seed):
 
 def test_criterion_6_null_false_positive_rate():
     started = time.perf_counter()
-    batch = sim.monte_carlo(study_spec(sim.DEFENSE, 0.0, seed=601), runs=500,
-                            alpha=0.05, workers=2)
+    batch = sim.monte_carlo(study_spec(sim.DEFENSE, 0.0, seed=601), runs=500, alpha=0.05)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     assert 0.03 <= batch.detection_rate <= 0.13
@@ -196,12 +198,31 @@ def test_criterion_6_null_false_positive_rate():
               f"mean z {batch.mean_z:+.3f}, {elapsed:.0f}s for 500 runs")
 
 
+def test_null_false_positive_rate_on_counts_from_draws_matches_student_t():
+    # beside criterion 6's bounds: the Student-t prediction of the rule's rate
+    oracle = student_t_false_positive_rate(10)
+    batch = sim.monte_carlo(study_spec(sim.DEFENSE, 0.0, seed=611), runs=1000, alpha=0.05)
+    se = math.sqrt(oracle * (1 - oracle) / batch.runs)
+    assert abs(batch.detection_rate - oracle) <= 4 * se
+    print(f"\nfalse-positive rate {batch.detection_rate:.4f} against P(t_9 < -1.645/sqrt(1.1)) "
+          f"= {oracle:.4f}, {(batch.detection_rate - oracle) / se:+.1f} SE")
+
+
+def test_calibration_specs_count_from_draws():
+    # criteria 6 and 7 and demo 03 (M=300, 8 rounds) count each run from its draws
+    for scenario, delta in ((sim.DEFENSE, 0.0), (sim.COPING, 0.2), (sim.COPING, 1.0)):
+        assert sim._counts_are_draws(study_spec(scenario, delta, seed=1))
+    demo = replace(study_spec(sim.COPING, 0.0, seed=31), m_clients=300,
+                   config=sim.default_sim_config(n_rounds=8))
+    assert sim._counts_are_draws(demo)
+
+
 def test_criterion_7_power_under_suppression():
     started = time.perf_counter()
     moderate = sim.power_curve(study_spec(sim.COPING, 0.0, seed=701), [0.2], runs=300,
-                               alpha=0.05, workers=2)[0]
+                               alpha=0.05)[0]
     total = sim.power_curve(study_spec(sim.COPING, 0.0, seed=702), [1.0], runs=150,
-                            alpha=0.05, workers=2)[0]
+                            alpha=0.05)[0]
     single = sim.run_scenario(study_spec(sim.COPING, 1.0, seed=703), capture_trace=False)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

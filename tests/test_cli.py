@@ -270,6 +270,24 @@ class TestClientSourceFiles:
         assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("port", ["99999", "-1", "\uff11\uff12\uff13", "080"])
+@pytest.mark.parametrize("command", ["counter", "client"])
+def test_bad_port_is_a_usage_error(tmp_path, command, port):
+    conf = tmp_path / "ok.conf"
+    conf.write_text(format_config(make_config()))
+    log = tmp_path / "c.log"
+    args = (["--listen", f"127.0.0.1:{port}", "--log", str(log)] if command == "counter"
+            else ["--counter", f"127.0.0.1:{port}", "--assume-yes"])
+    done = subprocess.run(
+        [sys.executable, "-m", "rollcall.cli", command, "--config", str(conf), *args],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and "0-65535" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not log.exists()
+
+
 class TestLiveSubcommands:
     def test_counter_and_client_processes(self, tmp_path):
         """Two real processes complete a compressed schedule end to end."""
@@ -320,7 +338,9 @@ class TestLiveSubcommands:
 class TestParsing:
     def test_parse_address(self):
         assert _parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
-        for bad in ("localhost", ":90", "host:", "host:abc"):
+        assert _parse_address("::1:0") == ("::1", 0)
+        assert _parse_address("h:65535") == ("h", 65535)
+        for bad in ("localhost", ":90", "host:", "host:abc", "host:65536", "host:+80"):
             with pytest.raises(Exception):
                 _parse_address(bad)
 

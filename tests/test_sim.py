@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rollcall import sim, stats
 from rollcall.client import report_step, sync_sample
@@ -10,10 +11,15 @@ from rollcall.counter import parse_log_line, log_distribution
 from rollcall.sim import (
     COPING,
     DEFENSE,
+    BatchResult,
     EventLoop,
     FaultPlan,
     NetModel,
     ScenarioSpec,
+    Simulation,
+    _child_seeds,
+    _counts_are_draws,
+    _draw_counts,
     default_sim_config,
     inject_faults,
     monte_carlo,
@@ -186,15 +192,100 @@ class TestSharedClientPolicy:
         assert early.n_star == clean.n_star
 
 
+@st.composite
+def guarded_specs(draw):
+    """Specs at and near every edge of `_counts_are_draws`, on both sides."""
+    # small values often, so that the latest arrivals sit on the bounds
+    low = draw(st.integers(0, 100))
+    high = low + draw(st.integers(0, 2) | st.integers(0, 200))
+    asym = draw(st.integers(0, 900))
+    error = (high - low + asym + 1) // 2
+    jitter = draw(st.integers(0, 2) | st.integers(0, 300))
+    edge = st.integers(-2, 2) | st.integers(-20, 300)  # how far inside a bound; < 0 is outside
+    margin = error - low - asym + draw(edge)  # negative when asym is large
+    grace = max(1, margin + jitter + error + high + asym + draw(edge))
+    samples = draw(st.integers(0, 3))
+    delta_tau = max(1, samples * (2 * high + asym) - min(0, margin - error) + draw(edge))
+    scenario = draw(st.sampled_from([DEFENSE, COPING]))
+    return ScenarioSpec(
+        m_clients=draw(st.integers(1, 25)),
+        p_participate=draw(st.just(1.0) | st.floats(0.0, 1.0)),
+        delta=draw(st.floats(0.0, 1.0)) if scenario == COPING else 0.0,
+        scenario=scenario,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        config=default_sim_config(
+            n_rounds=draw(st.integers(2, 6)), delta_tau_ms=delta_tau,
+            delta_t_ms=delta_tau + draw(st.integers(1, 20_000)), grace_ms=grace,
+        ),
+        net=NetModel(min_latency_ms=low, max_latency_ms=high, asym_up_ms=asym),
+        sync_samples=samples,
+        send_margin_ms=margin,
+        send_jitter_ms=jitter,
+    )
+
+
+class TestCountsFromDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(guarded_specs())
+    def test_inside_the_guard_draws_equal_the_simulation(self, spec):
+        assume(_counts_are_draws(spec))
+        assert _draw_counts(spec) == Simulation(spec, capture_trace=False).run()
+
+    @pytest.mark.parametrize("change", [
+        dict(net=NetModel(loss_prob=0.01)),
+        dict(faults=FaultPlan(loss_burst=(0, 0))),
+        dict(faults=FaultPlan(duplicate_reports=True)),
+        dict(faults=FaultPlan(clock_offsets=((0, 1),))),
+        dict(faults=FaultPlan(unsynced=frozenset({0}))),
+        dict(send_margin_ms=-100),  # the first arrivals come before the window opens
+        dict(send_margin_ms=2_000),  # the last arrivals come after the grace period
+        dict(net=NetModel(asym_up_ms=1_000)),  # a sync error past the shutdown slack
+    ], ids=["loss", "loss-burst", "duplicates", "clock-offset", "unsynced", "early-margin",
+            "late-margin", "large-asymmetry"])
+    def test_guard_refuses_every_fault(self, change):
+        assert _counts_are_draws(small_spec())
+        assert not _counts_are_draws(small_spec(**change))
+
+    @pytest.mark.parametrize("inside, outside", [
+        (dict(margin=-100), dict(margin=-101)),  # EARLY, and the retry comes after grace
+        (dict(margin=0), dict(margin=1)),  # the last arrival on, then past, window close
+        (dict(margin=30, grace=2_000, net=NetModel(0, 0, asym_up_ms=1_000)),
+         dict(margin=30, grace=2_000, net=NetModel(0, 0, asym_up_ms=1_002))),  # error 500, 501
+        (dict(grace=1, delta_tau=300), dict(grace=1, delta_tau=200)),  # CAL 0 waits 100 ms
+    ], ids=["earliest", "latest", "shutdown-slack", "sync-before-send"])
+    def test_every_bound_is_sharp(self, inside, outside):
+        # fixed legs and no jitter put every first arrival at window open + margin + 100
+        def edge_spec(margin=-100, grace=100, delta_tau=2_000, net=NetModel(100, 100)):
+            config = default_sim_config(n_rounds=3, delta_tau_ms=delta_tau, grace_ms=grace)
+            return small_spec(p_participate=1.0, config=config, net=net,
+                              send_margin_ms=margin, send_jitter_ms=0)
+        assert _counts_are_draws(edge_spec(**inside))
+        assert _draw_counts(edge_spec(**inside)) == Simulation(edge_spec(**inside)).run()
+        assert not _counts_are_draws(edge_spec(**outside))
+        assert _draw_counts(edge_spec(**outside)) != Simulation(edge_spec(**outside)).run()
+
+
+def batch_of_run_scenarios(spec, runs):
+    """What `monte_carlo` computes, as a loop of reference simulations."""
+    analyses = [
+        run_scenario(replace(spec, seed=child), capture_trace=False).analysis
+        for child in _child_seeds(spec.seed, runs)
+    ]
+    zs = tuple(a.z for a in analyses if a is not None)
+    detections = sum(a is not None and a.verdict == stats.COPING_EVIDENCE for a in analyses)
+    return BatchResult(runs, detections, detections / runs, float(np.mean(zs)), zs)
+
+
 class TestBatches:
-    def test_monte_carlo_deterministic_and_parallel_equal(self):
-        spec = small_spec(m_clients=30, config=default_sim_config(n_rounds=4), seed=5)
-        serial = monte_carlo(spec, runs=12)
-        again = monte_carlo(spec, runs=12)
-        parallel = monte_carlo(spec, runs=12, workers=2)
-        assert serial == again == parallel
-        assert serial.runs == 12
-        assert 0.0 <= serial.detection_rate <= 1.0
+    @pytest.mark.parametrize("net", [NetModel(), NetModel(loss_prob=0.05)],
+                             ids=["from-draws", "simulated"])
+    def test_monte_carlo_equals_run_scenario_loop(self, net):
+        spec = small_spec(m_clients=30, config=default_sim_config(n_rounds=4), seed=5, net=net)
+        assert _counts_are_draws(spec) == (net.loss_prob == 0.0)
+        batch = monte_carlo(spec, runs=12)
+        assert batch == monte_carlo(spec, runs=12) == batch_of_run_scenarios(spec, 12)
+        assert batch.runs == 12
+        assert 0.0 <= batch.detection_rate <= 1.0
 
     def test_power_curve_monotone_and_saturating(self):
         spec = small_spec(m_clients=120, config=default_sim_config(n_rounds=5), seed=9)
@@ -231,6 +322,9 @@ class TestPlumbing:
         for jitter in (-1, -2):
             with pytest.raises(ValueError):
                 small_spec(send_jitter_ms=jitter)
+        with pytest.raises(ValueError):
+            # at 0, each REJ EARLY would be retried at the same virtual ms forever
+            small_spec(retry_ms=0, net=NetModel(0, 0), send_margin_ms=-100, m_clients=1)
         with pytest.raises(ValueError):
             small_spec(net=NetModel(min_latency_ms=10, max_latency_ms=5))
 

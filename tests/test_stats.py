@@ -189,13 +189,17 @@ class TestAnalyze:
         assert analyze(summarize(counts), 90).verdict == COPING_EVIDENCE
 
 
-def test_null_false_positive_rate_matches_student_t():
-    # under the null, (N* - mean) / (s * sqrt(1 + 1/n)) ~ t_{n-1}, so the rule
-    # z < -z_0.95 fires with probability P(t_9 < -z_0.95 / sqrt(1.1))
-    n, runs = 10, 100_000
+def student_t_false_positive_rate(n: int) -> float:
+    """Under the null, (N* - mean) / (s * sqrt(1 + 1/n)) ~ t_{n-1}, so the rule
+    z < -z_0.95 fires with probability P(t_{n-1} < -z_0.95 / sqrt(1 + 1/n))."""
     t = mpmath.mpf(-normal_quantile(0.95)) / mpmath.sqrt(1 + mpmath.mpf(1) / n)
     nu = n - 1
-    oracle = float(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t**2), regularized=True) / 2)
+    return float(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t**2), regularized=True) / 2)
+
+
+def test_null_false_positive_rate_matches_student_t():
+    n, runs = 10, 100_000
+    oracle = student_t_false_positive_rate(n)
     assert oracle == pytest.approx(0.0756, abs=5e-5)
     draws = np.random.default_rng(20070).binomial(1000, 0.5, size=(runs, n + 1)).tolist()
     hits = sum(
