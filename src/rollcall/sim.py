@@ -91,6 +91,8 @@ class ScenarioSpec:
             raise ValueError("delta must lie in [0, 1]")
         if self.scenario not in (DEFENSE, COPING):
             raise ValueError(f"scenario must be {DEFENSE} or {COPING}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.send_jitter_ms < 0:
             raise ValueError("send_jitter_ms must be non-negative")
         if self.retry_ms < 1:
@@ -135,22 +137,35 @@ class SimOutcome:
 
 
 class EventLoop:
-    """Minimal time-ordered callback queue; ties break by insertion order."""
+    """Time-ordered callback queue; ties break by insertion order.
+
+    A heap holds each distinct virtual millisecond once, and a dict maps it to
+    its callbacks in insertion order: many events share a millisecond, so this
+    is one heap push and pop per millisecond instead of one per event. A
+    callback scheduled at or before `now` joins the running millisecond's list.
+    """
 
     def __init__(self) -> None:
         self.now = 0
-        self._seq = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._times: list[int] = []
+        self._due: dict[int, list[Callable[[], None]]] = {}
 
     def schedule(self, at_ms: int, fn: Callable[[], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (max(at_ms, self.now), self._seq, fn))
+        if at_ms < self.now:
+            at_ms = self.now
+        bucket = self._due.get(at_ms)
+        if bucket is None:
+            self._due[at_ms] = [fn]
+            heapq.heappush(self._times, at_ms)
+        else:
+            bucket.append(fn)
 
     def run(self) -> None:
-        while self._heap:
-            at, _, fn = heapq.heappop(self._heap)
-            self.now = at
-            fn()
+        while self._times:
+            self.now = at = heapq.heappop(self._times)
+            for fn in self._due[at]:  # also runs what the bucket's callbacks append
+                fn()
+            del self._due[at]
 
 
 class VirtualNet:
@@ -226,27 +241,88 @@ class VirtualNet:
             self.loop.schedule(self.loop.now + up, deliver)
 
 
-def _client_draws(spec: ScenarioSpec, index: int) -> tuple[list[bool], list[int]]:
-    """Client `index`'s participation flags and send jitters, per round with
-    the execution round last, from hashed words of (seed, index): a per-client
-    substream, so growing M never reshuffles the decisions of existing clients."""
+# numpy's SeedSequence constants (O'Neill's seed_seq design, pool of 4 words)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian uint32 words of a non-negative int, [0] for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _stream_words(seed: int, count: int, k: int) -> np.ndarray:
+    """A (count, k) uint32 matrix whose row i equals
+    `np.random.SeedSequence((seed, i)).generate_state(k, np.uint32)`.
+
+    numpy's `hashmix`, `mix` and `generate_state` in uint32 arithmetic, one
+    array operation for all clients at once. Each index below 2**32 is one
+    entropy word after the words of `seed`, so every row hashes alike.
+    """
+    entropy = [np.full(count, word, np.uint32) for word in _uint32_words(seed)]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zeros = np.zeros(count, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    consts = [_INIT_B]
+    for _ in range(k):
+        consts.append(consts[-1] * _MULT_B & _MASK32)
+    state = np.stack(pool, axis=1)[:, np.arange(k) % _POOL_SIZE]
+    state ^= np.array(consts[:-1], np.uint32)
+    state *= np.array(consts[1:], np.uint32)
+    return state ^ (state >> 16)
+
+
+def _client_draws(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's participation flags and send jitters, a row per client
+    and a column per round with the execution round last, from hashed words
+    of (seed, index): per-client substreams, so growing M never reshuffles
+    the decisions of existing clients."""
     n = spec.config.n_rounds
-    words = np.random.SeedSequence((spec.seed, index)).generate_state(2 * (n + 1), np.uint32)
-    draws = words[: n + 1] * (1.0 / 2**32)
-    participates = [bool(draws[i] < spec.p_participate) for i in range(n)]
-    participates.append(bool(draws[n] < spec.execution_probability))
-    return participates, (words[n + 1 :] % (spec.send_jitter_ms + 1)).tolist()
+    words = _stream_words(spec.seed, spec.m_clients, 2 * (n + 1))
+    thresholds = np.full(n + 1, spec.p_participate)
+    thresholds[n] = spec.execution_probability
+    participates = words[:, : n + 1] * (1.0 / 2**32) < thresholds
+    return participates, words[:, n + 1 :] % (spec.send_jitter_ms + 1)
 
 
 class SimClient:
     """One scripted participant walking the real round lifecycle."""
 
-    def __init__(self, sim: "Simulation", index: int) -> None:
+    def __init__(
+        self, sim: "Simulation", index: int, participates: list[bool], jitter: list[int]
+    ) -> None:
         self.sim = sim
         self.index = index
         self.nonce = f"sim-{index:08d}"
         spec = sim.spec
-        self.participates, self.jitter = _client_draws(spec, index)
+        self.participates, self.jitter = participates, jitter
         self.true_offset = spec.faults.offset_of(index)  # add to local clock for counter time
         self.synced = index not in spec.faults.unsynced and spec.sync_samples > 0
         self.offset_est: int | None = None if self.synced else 0
@@ -398,8 +474,9 @@ class Simulation:
             self.loop.schedule(close_at, lambda r=round, t=close_at: self.counter.close_round(r, t))
 
     def run(self) -> tuple[list[int], int]:
-        for index in range(self.spec.m_clients):
-            SimClient(self, index).start()
+        rows = zip(*(matrix.tolist() for matrix in _client_draws(self.spec)))
+        for index, (participates, jitter) in enumerate(rows):
+            SimClient(self, index, participates, jitter).start()
         self.loop.run()
         counts, n_star = self.counter.distribution()
         assert n_star is not None  # the close event for the execution round always ran
@@ -466,7 +543,7 @@ def _counts_are_draws(spec: ScenarioSpec) -> bool:
 
 
 def _draw_counts(spec: ScenarioSpec) -> tuple[list[int], int]:
-    *counts, n_star = map(sum, zip(*(_client_draws(spec, i)[0] for i in range(spec.m_clients))))
+    *counts, n_star = _client_draws(spec)[0].sum(axis=0).tolist()
     return counts, n_star
 
 

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from rollcall.cli import EXIT_COPING, EXIT_ERROR, EXIT_OK, EXIT_UNSTABLE, main, _parse_address
+from rollcall.cli import (
+    EXIT_COPING, EXIT_ERROR, EXIT_OK, EXIT_UNSTABLE, build_parser, main, _parse_address,
+)
 from rollcall.counter import log_distribution, read_log
 from rollcall.protocol import ExperimentConfig, RoundRef, derive_token, format_config
 
@@ -172,6 +174,12 @@ class TestSimulateAndPower:
     def test_bad_scenario_flags(self, capsys):
         assert main(["simulate", "--p", "1.5"]) == EXIT_ERROR
 
+    def test_negative_seed_is_an_error(self, capsys):
+        assert main(["simulate", "--clients", "5", "--seed", "-1"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert "Traceback" not in err
+
 
 class TestCounterAndClientErrors:
     def test_counter_missing_config(self, tmp_path, capsys):
@@ -286,6 +294,24 @@ def test_bad_port_is_a_usage_error(tmp_path, command, port):
     assert "usage:" in done.stderr and "0-65535" in done.stderr
     assert "Traceback" not in done.stderr
     assert not log.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    *(("simulate", flag) for flag in (
+        "--clients", "--rounds", "--seed", "--delta-tau-ms", "--delta-t-ms", "--grace-ms",
+        "--net-min-ms", "--net-max-ms", "--asym-up-ms",
+    )),
+    ("power", "--runs"), ("client", "--prompt-lead-ms"), ("client", "--sync-samples"),
+])
+def test_integer_flags_take_the_integer_grammar(capsys, command, flag):
+    required = ["--config", "c.conf", "--counter", "h:1"] if command == "client" else []
+    args = build_parser().parse_args([command, *required, flag, "12"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 12
+    for bad in ("1_0", "+5", "012", " 5", "\u0663", "\uff11\uff12"):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([command, *required, flag, bad])
+        assert err.value.code == 2, bad
+    assert "usage:" in capsys.readouterr().err
 
 
 class TestLiveSubcommands:

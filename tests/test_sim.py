@@ -1,9 +1,12 @@
+import heapq
+import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rollcall import sim, stats
 from rollcall.client import report_step, sync_sample
@@ -18,6 +21,7 @@ from rollcall.sim import (
     ScenarioSpec,
     Simulation,
     _child_seeds,
+    _client_draws,
     _counts_are_draws,
     _draw_counts,
     default_sim_config,
@@ -26,6 +30,8 @@ from rollcall.sim import (
     power_curve,
     run_scenario,
 )
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def small_spec(**overrides):
@@ -300,7 +306,114 @@ class TestBatches:
             power_curve(small_spec(), [0.0], runs=50)
 
 
+class TestStreams:
+    """The batched draws against numpy's own SeedSequence, the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**63 + 5, 2**96 + 7]) | st.integers(0, 2**140),
+        count=st.integers(1, 40),
+        k=st.integers(1, 25),
+    )
+    @example(seed=2**96 + 7, count=3, k=22)  # 4 seed words: the entropy outgrows the pool
+    @example(seed=2**32 - 1, count=1, k=1)
+    def test_stream_words_equal_seed_sequence(self, seed, count, k):
+        expected = [np.random.SeedSequence((seed, i)).generate_state(k, np.uint32)
+                    for i in range(count)]
+        words = sim._stream_words(seed, count, k)
+        assert words.dtype == np.uint32
+        np.testing.assert_array_equal(words, np.array(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        p=st.floats(0.0, 1.0),
+        delta=st.floats(0.0, 1.0),
+        jitter=st.integers(0, 300),
+        n_rounds=st.integers(2, 6),
+    )
+    def test_client_draws_equal_the_per_client_rule(self, seed, p, delta, jitter, n_rounds):
+        spec = small_spec(m_clients=7, seed=seed, p_participate=p, delta=delta, scenario=COPING,
+                          send_jitter_ms=jitter, config=default_sim_config(n_rounds=n_rounds))
+        participates, jitters = _client_draws(spec)
+        for i in range(spec.m_clients):
+            words = np.random.SeedSequence((seed, i)).generate_state(2 * (n_rounds + 1), np.uint32)
+            draws = words[: n_rounds + 1] * (1.0 / 2**32)
+            expected = [bool(d < p) for d in draws[:-1]] + [bool(draws[-1] < p * (1.0 - delta))]
+            assert participates[i].tolist() == expected
+            assert jitters[i].tolist() == (words[n_rounds + 1 :] % (jitter + 1)).tolist()
+
+    def test_first_replicates_match_the_recorded_digests(self, monkeypatch):
+        # the benchmark's seed-1 digests pin the (spec, seed) contract bit for bit
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import mcload
+
+        recorded = mcload.load_digests()
+        seeds = _child_seeds(mcload.DEFAULT_SEED, 2)
+        for workload, make in mcload.SPECS.items():
+            spec = make(mcload.DEFAULT_SEED)
+            digests = [mcload.run_replicate(spec, s, i).digest() for i, s in enumerate(seeds)]
+            assert digests == recorded[workload][:2], workload
+
+
+class HeapLoop:
+    """The reference queue: one (at, seq, fn) heap entry per event."""
+
+    def __init__(self):
+        self.now = 0
+        self._seq = 0
+        self._heap = []
+
+    def schedule(self, at_ms, fn):
+        self._seq += 1
+        heapq.heappush(self._heap, (max(at_ms, self.now), self._seq, fn))
+
+    def run(self):
+        while self._heap:
+            at, _, fn = heapq.heappop(self._heap)
+            self.now = at
+            fn()
+
+
+# an event: (offset from the scheduling time, events it schedules when it runs);
+# offsets below 0 fall in the past, 0 at now, small ones on pending milliseconds
+event_programs = st.lists(
+    st.recursive(
+        st.tuples(st.integers(-3, 3), st.just(())),
+        lambda children: st.tuples(st.integers(-3, 3), st.lists(children, max_size=4)),
+        max_leaves=40,
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def play(loop, program):
+    order = []
+    ids = itertools.count()
+
+    def schedule(event):
+        offset, children = event
+        ident = next(ids)
+
+        def fire():
+            order.append((ident, loop.now))
+            for child in children:
+                schedule(child)
+
+        loop.schedule(loop.now + offset, fire)
+
+    for event in program:
+        schedule(event)
+    loop.run()
+    return order
+
+
 class TestPlumbing:
+    @settings(max_examples=200, deadline=None)
+    @given(event_programs)
+    def test_event_loop_runs_in_heap_order(self, program):
+        assert play(EventLoop(), program) == play(HeapLoop(), program)
+
     def test_event_loop_fifo_within_same_ms(self):
         loop = EventLoop()
         order = []
@@ -327,6 +440,8 @@ class TestPlumbing:
             small_spec(retry_ms=0, net=NetModel(0, 0), send_margin_ms=-100, m_clients=1)
         with pytest.raises(ValueError):
             small_spec(net=NetModel(min_latency_ms=10, max_latency_ms=5))
+        with pytest.raises(ValueError, match="seed"):
+            small_spec(seed=-1)
 
     def test_execution_probability(self):
         assert small_spec(scenario=COPING, delta=0.2).execution_probability == pytest.approx(0.4)
