@@ -36,6 +36,15 @@ _VERDICT_EXIT = {
 }
 
 
+def _integer(text: str) -> int:
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal integer without sign +, leading zeros or _, got {text!r}"
+        ) from None
+
+
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     try:
@@ -290,23 +299,23 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser, with_delta: bool = True) -> None:
-    parser.add_argument("--clients", type=_parse_int, default=1000, help="simulated population M")
-    parser.add_argument("--rounds", type=_parse_int, default=10, help="calibration rounds n")
+    parser.add_argument("--clients", type=_integer, default=1000, help="simulated population M")
+    parser.add_argument("--rounds", type=_integer, default=10, help="calibration rounds n")
     parser.add_argument("--p", type=float, default=0.5, help="per-round participation probability")
     if with_delta:
         parser.add_argument("--delta", type=float, default=0.0, help="execution-round suppression")
         parser.add_argument(
             "--scenario", choices=[sim_mod.DEFENSE, sim_mod.COPING], default=sim_mod.DEFENSE
         )
-    parser.add_argument("--seed", type=_parse_int, default=1)
+    parser.add_argument("--seed", type=_integer, default=1)
     parser.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
-    parser.add_argument("--delta-tau-ms", type=_parse_int, default=2000)
-    parser.add_argument("--delta-t-ms", type=_parse_int, default=10000)
-    parser.add_argument("--grace-ms", type=_parse_int, default=2000)
-    parser.add_argument("--net-min-ms", type=_parse_int, default=5)
-    parser.add_argument("--net-max-ms", type=_parse_int, default=50)
+    parser.add_argument("--delta-tau-ms", type=_integer, default=2000)
+    parser.add_argument("--delta-t-ms", type=_integer, default=10000)
+    parser.add_argument("--grace-ms", type=_integer, default=2000)
+    parser.add_argument("--net-min-ms", type=_integer, default=5)
+    parser.add_argument("--net-max-ms", type=_integer, default=50)
     parser.add_argument("--loss", type=float, default=0.0)
-    parser.add_argument("--asym-up-ms", type=_parse_int, default=0)
+    parser.add_argument("--asym-up-ms", type=_integer, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument("--uptime", help="uptime records file (DOWN/UP <ms> lines)")
     p_client.add_argument("--nonce", help="stable client identifier override")
     p_client.add_argument(
-        "--prompt-lead-ms", type=_parse_int, default=client_mod.DEFAULT_PROMPT_LEAD_MS
+        "--prompt-lead-ms", type=_integer, default=client_mod.DEFAULT_PROMPT_LEAD_MS
     )
-    p_client.add_argument("--sync-samples", type=_parse_int, default=8)
+    p_client.add_argument("--sync-samples", type=_integer, default=8)
     p_client.add_argument(
         "--assume-yes", action="store_true", help="consent to every round without prompting"
     )
@@ -355,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_power = sub.add_parser("power", help="detection-rate table over suppression strengths")
     _add_scenario_flags(p_power, with_delta=False)
     p_power.add_argument("--deltas", default="0,0.1,0.2,0.5,1.0", help="comma-separated list")
-    p_power.add_argument("--runs", type=_parse_int, default=200)
+    p_power.add_argument("--runs", type=_integer, default=200)
     p_power.set_defaults(fn=cmd_power)
 
     return parser

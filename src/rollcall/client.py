@@ -17,6 +17,7 @@ import secrets
 import socket
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
@@ -246,12 +247,14 @@ class ReportStep(Enum):
     GIVE_UP = "GIVE_UP"
 
 
+@lru_cache(maxsize=64)
 def report_step(response: str) -> ReportStep:
     """What the sender of a REPORT does with the counter's answer.
 
     ACK is done, and so is DUP: an earlier attempt landed. EARLY, or a line
     that does not decode, is worth another attempt while the report window
-    is open; any other answer is final.
+    is open; any other answer is final. Answers take few distinct values,
+    so each is decoded once while it stays in the bounded cache.
     """
     try:
         msg = decode_message(response)

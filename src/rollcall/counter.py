@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .protocol import (
+    REJECT_REASONS,
     Ack,
     ExperimentConfig,
     MalformedLine,
@@ -36,7 +37,7 @@ from .protocol import (
     SyncRequest,
     SyncResponse,
     _parse_int,
-    _parse_round,
+    _round_ref,
     decode_message,
     derive_token,
     encode_message,
@@ -192,11 +193,19 @@ class CounterCore:
         }
         self.seen: set[tuple[RoundRef, str]] = set()
         self.surveys: list[Survey] = []
+        # every answer a report or survey can get, each formatted once
+        answers = [*map(Ack, config.rounds()), *map(Reject, REJECT_REASONS)]
+        self._answer_lines = {answer: encode_message(answer) for answer in answers}
 
     # -- ingest ---------------------------------------------------------
 
-    def accept_report(self, report: Report, arrival_ms: int) -> Ack | Reject:
-        raw = encode_message(report)
+    def accept_report(
+        self, report: Report, arrival_ms: int, raw: str | None = None
+    ) -> Ack | Reject:
+        """Decide and log one report; `raw`, its wire line as received, is
+        what the log records (the report is encoded again when not given)."""
+        if raw is None:
+            raw = encode_message(report)
         reason = self._rejection_reason(report, arrival_ms)
         if reason is not None:
             self.log.append(arrival_ms, TAG_REJECT, raw)
@@ -236,9 +245,9 @@ class CounterCore:
             t3 = arrival_ms if send_ms is None else send_ms
             return encode_message(SyncResponse(msg.t1, arrival_ms, t3))
         if isinstance(msg, Report):
-            return encode_message(self.accept_report(msg, arrival_ms))
+            return self._answer_lines[self.accept_report(msg, arrival_ms, line)]
         if isinstance(msg, Survey):
-            return encode_message(self.accept_survey(msg, arrival_ms))
+            return self._answer_lines[self.accept_survey(msg, arrival_ms)]
         # a syntactically valid line that is not a client-to-counter message
         return self._reject_malformed(line, arrival_ms)
 
@@ -311,8 +320,7 @@ def _interpret_log(events: Iterable[LogEvent]) -> _LogContent:
             continue
         try:
             if event.tag == TAG_CLOSE:
-                kind, _, index = event.raw.partition(" ")
-                content.closed.add(_parse_round(kind, index))
+                content.closed.add(_round_ref(event.raw))
                 continue
             msg = decode_message(event.raw)
         except ValueError as exc:

@@ -27,9 +27,11 @@ SURVEY_CODES = frozenset({"FORGOT", "OBSTACLE", "CHANGED_MIND", "INTERFERENCE", 
 TOKEN_HEX_LEN = 32
 
 # every pattern is applied with fullmatch: `$` would also match before a final "\n"
+_UINT = r"(?:0|[1-9][0-9]*)"
 _TOKEN_RE = re.compile(r"[0-9a-f]{32}")
 _NONCE_RE = re.compile(r"\S{8,64}")
-_INT_RE = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_INT_RE = re.compile(rf"-?{_UINT}")
+_ROUND_RE = re.compile(rf"CAL {_UINT}|EXE 0")
 _NO_WS_RE = re.compile(r"\S+")
 
 
@@ -269,37 +271,59 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-def _parse_round(kind: str, index: str) -> RoundRef:
-    if index.startswith("-"):  # "-0" would pass the integer grammar
-        raise ValueError(f"round index must be unsigned, got {index!r}")
-    return RoundRef(kind, _parse_int(index))
+@lru_cache(maxsize=64)
+def _round_ref(wire: str) -> RoundRef:
+    """The round named by its wire text, such as ``CAL 3`` or ``EXE 0``.
+
+    Raises ValueError off the round grammar. Equal texts share one RoundRef
+    while they stay in the cache, whose bound also caps what hostile indices
+    of up to 8 KiB each can hold (about 0.5 MB).
+    """
+    if not _ROUND_RE.fullmatch(wire):
+        raise ValueError(f"expected CAL <index> or EXE 0, got {wire!r}")
+    kind, _, index = wire.partition(" ")
+    return RoundRef(kind, int(index))
+
+
+def _fields(*patterns: str) -> re.Pattern[str]:
+    """The text after a verb: one group per field, fields split by single spaces."""
+    return re.compile(" ".join(f"({pattern})" for pattern in patterns))
+
+
+def _one_of(words: frozenset[str]) -> str:
+    return "|".join(sorted(words))
+
+
+_INT = _INT_RE.pattern
+_ROUND = _ROUND_RE.pattern
+# verb -> (pattern of the rest of the line, constructor from the pattern's groups)
+_GRAMMAR: dict[str, tuple[re.Pattern[str], Callable[..., Message]]] = {
+    "SYNC": (_fields(_INT), lambda t1: SyncRequest(int(t1))),
+    "SYNCR": (_fields(_INT, _INT, _INT), lambda *ts: SyncResponse(*map(int, ts))),
+    "REPORT": (
+        _fields(_ROUND, _NONCE_RE.pattern, _TOKEN_RE.pattern),
+        lambda round, nonce, token: Report(_round_ref(round), nonce, token),
+    ),
+    "ACK": (_fields(_ROUND), lambda round: Ack(_round_ref(round))),
+    "REJ": (_fields(_one_of(REJECT_REASONS)), Reject),
+    "SURVEY": (
+        _fields(_NONCE_RE.pattern, _one_of(SURVEY_CODES), r"\S+"),
+        lambda nonce, code, text: Survey(nonce, code, decode_survey_text(text)),
+    ),
+}
 
 
 def decode_message(line: str) -> Message:
     """Parse one wire line. Raises MalformedLine for anything off-grammar."""
-    if "\n" in line or "\r" in line:
-        raise MalformedLine("line contains a line break")
-    parts = line.split(" ")
-    if parts != [p for p in parts if p]:
-        raise MalformedLine("empty or repeated separators")
-    verb, *args = parts
-    # the message constructors check every field the grammar leaves open
+    verb, _, rest = line.partition(" ")
+    grammar = _GRAMMAR.get(verb)
+    match = grammar[0].fullmatch(rest) if grammar is not None else None
+    if match is None:
+        raise MalformedLine(f"unrecognized line {line!r}")
     try:
-        if verb == "SYNC" and len(args) == 1:
-            return SyncRequest(_parse_int(args[0]))
-        if verb == "SYNCR" and len(args) == 3:
-            return SyncResponse(*map(_parse_int, args))
-        if verb == "REPORT" and len(args) == 4:
-            return Report(_parse_round(args[0], args[1]), args[2], args[3])
-        if verb == "ACK" and len(args) == 2:
-            return Ack(_parse_round(*args))
-        if verb == "REJ" and len(args) == 1:
-            return Reject(args[0])
-        if verb == "SURVEY" and len(args) == 3:
-            return Survey(args[0], args[1], decode_survey_text(args[2]))
-    except ValueError as exc:
+        return grammar[1](*match.groups())
+    except ValueError as exc:  # more digits than int() takes, or non-canonical text
         raise MalformedLine(str(exc)) from exc
-    raise MalformedLine(f"unrecognized line {line!r}")
 
 
 # --- config file and other line files ---------------------------------------

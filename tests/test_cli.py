@@ -311,7 +311,9 @@ def test_integer_flags_take_the_integer_grammar(capsys, command, flag):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args([command, *required, flag, bad])
         assert err.value.code == 2, bad
-    assert "usage:" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert "usage:" in stderr and "expected a decimal integer" in stderr, bad
+        assert "_parse_int" not in stderr, bad
 
 
 class TestLiveSubcommands:

@@ -232,6 +232,14 @@ class TestExchangePolicy:
     def test_report_step(self, response, step):
         assert report_step(response) is step
 
+    def test_report_step_cache_is_bounded_and_exact(self):
+        forms = ["ACK CAL {}", "SYNC {}", "REJ EARLY{}", "ACK CAL 0{}", "garbage {}"]
+        for i in range(10_000):
+            answer = forms[i % len(forms)].format(i)
+            assert report_step(answer) is report_step.__wrapped__(answer), answer
+        info = report_step.cache_info()
+        assert info.currsize <= info.maxsize
+
     @pytest.mark.parametrize("response, expected", [
         ("SYNCR 10 50 52 ", None),
         ("SYNCR 10 50 52", (10, 50, 52, 20)),

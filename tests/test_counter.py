@@ -309,6 +309,9 @@ def interpretations(config, path):
 CORRUPT_EVENTS = [
     "CLOSE CAL x",
     "CLOSE EXE 5",
+    "CLOSE EXE 1",
+    "CLOSE CAL -0",
+    "CLOSE CAL 01",
     "CLOSE CAL  1",
     "CLOSE CAL +1",
     "CLOSE CAL 1_0",

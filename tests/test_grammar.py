@@ -12,12 +12,16 @@ from rollcall import protocol
 from rollcall.client import parse_activity_text, parse_uptime_text
 from rollcall.counter import CounterError, parse_log_line
 from rollcall.protocol import (
+    Ack,
     ConfigError,
     ExperimentConfig,
     MalformedLine,
+    Reject,
     Report,
     RoundRef,
     Survey,
+    SyncRequest,
+    SyncResponse,
     decode_message,
     derive_token,
     encode_message,
@@ -53,6 +57,7 @@ NONCE = _field(
     ),
 )
 HEX = "0123456789abcdef"
+TOKEN_0 = derive_token("k", RoundRef.cal(0))
 TOKEN = _field(
     st.text(st.sampled_from(HEX), min_size=32, max_size=32),
     st.one_of(
@@ -105,21 +110,21 @@ SCHEMA = {
 UNKNOWN_VERBS = ["HELLO", "sync", "REPORTS", "SYNCRR", "ACK0"]
 
 
-@settings(max_examples=1500, deadline=None)
-@given(st.data())
-def test_decoder_accepts_exactly_the_valid_lines(data):
-    verb = data.draw(st.sampled_from([*SCHEMA, *SCHEMA, *UNKNOWN_VERBS]))
-    schema = SCHEMA.get(verb) or data.draw(st.sampled_from(list(SCHEMA.values())))
-    bad = data.draw(st.sets(st.integers(min_value=0, max_value=len(schema) - 1)))
+@st.composite
+def schema_lines(draw):
+    """A wire line assembled from SCHEMA parts, and whether it is valid by construction."""
+    verb = draw(st.sampled_from([*SCHEMA, *SCHEMA, *UNKNOWN_VERBS]))
+    schema = SCHEMA.get(verb) or draw(st.sampled_from(list(SCHEMA.values())))
+    bad = draw(st.sets(st.integers(min_value=0, max_value=len(schema) - 1)))
     parts = [verb]
     for i, (valid, invalid) in enumerate(schema):
-        parts += data.draw(invalid if i in bad else valid)
-    arity = data.draw(st.sampled_from([0] * 4 + [-1, 1]))
+        parts += draw(invalid if i in bad else valid)
+    arity = draw(st.sampled_from([0] * 4 + [-1, 1]))
     if arity < 0:
         parts.pop()
     elif arity > 0:
         parts.append("0")
-    separator = data.draw(st.sampled_from(["ok"] * 4 + ["double", "leading", "trailing"]))
+    separator = draw(st.sampled_from(["ok"] * 4 + ["double", "leading", "trailing"]))
     line = " ".join(parts)
     if separator == "double":
         line = line.replace(" ", "  ", 1)
@@ -127,7 +132,13 @@ def test_decoder_accepts_exactly_the_valid_lines(data):
         line = " " + line
     elif separator == "trailing":
         line = line + " "
-    valid = verb in SCHEMA and not bad and arity == 0 and separator == "ok"
+    return line, verb in SCHEMA and not bad and arity == 0 and separator == "ok"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(schema_lines())
+def test_decoder_accepts_exactly_the_valid_lines(case):
+    line, valid = case
     try:
         msg = decode_message(line)
     except MalformedLine:
@@ -135,6 +146,104 @@ def test_decoder_accepts_exactly_the_valid_lines(data):
     assert (msg is not None) == valid, line
     if msg is not None:
         assert encode_message(msg) == line
+
+
+# --- the compiled decoder against the split-based one it replaced ----------------
+
+
+def reference_decode(line):
+    """The split-based decoder, field by field; the oracle for `decode_message`."""
+    if "\n" in line or "\r" in line:
+        raise MalformedLine("line contains a line break")
+    parts = line.split(" ")
+    if parts != [p for p in parts if p]:
+        raise MalformedLine("empty or repeated separators")
+    verb, *args = parts
+
+    def round_ref(kind, index):
+        if index.startswith("-"):  # "-0" would pass the integer grammar
+            raise ValueError(f"round index must be unsigned, got {index!r}")
+        return RoundRef(kind, protocol._parse_int(index))
+
+    try:
+        if verb == "SYNC" and len(args) == 1:
+            return SyncRequest(protocol._parse_int(args[0]))
+        if verb == "SYNCR" and len(args) == 3:
+            return SyncResponse(*map(protocol._parse_int, args))
+        if verb == "REPORT" and len(args) == 4:
+            return Report(round_ref(args[0], args[1]), args[2], args[3])
+        if verb == "ACK" and len(args) == 2:
+            return Ack(round_ref(*args))
+        if verb == "REJ" and len(args) == 1:
+            return Reject(args[0])
+        if verb == "SURVEY" and len(args) == 3:
+            return Survey(args[0], args[1], protocol.decode_survey_text(args[2]))
+    except ValueError as exc:
+        raise MalformedLine(str(exc)) from exc
+    raise MalformedLine(f"unrecognized line {line!r}")
+
+
+def _outcome(decode, line):
+    try:
+        return decode(line)
+    except MalformedLine:
+        return MalformedLine
+
+
+BIG = "1" * 4301  # one digit past int()'s default limit
+HOSTILE_LINES = [
+    f"SYNC {BIG}", f"SYNC -{BIG}", f"SYNCR 1 2 {BIG}", f"ACK CAL {BIG}",
+    f"REPORT CAL {BIG} abcdefgh {TOKEN_0}", "ACK CAL " + "9" * 4300,
+    "ACK EXE 1", "ACK EXE 00", f"REPORT EXE 1 abcdefgh {TOKEN_0}", "SYNC -0", "ACK CAL -0",
+    "SYNC", "SYNC ", "", " ", "REJ", "ACK CAL", "ACK  CAL 1", "SURVEY abcdefgh FORGOT",
+]
+
+
+@st.composite
+def hostile_lines(draw):
+    """A line from SCHEMA with one hostile edit: a hidden space inside a field,
+    an over-long integer, stray spaces or a line break at the end."""
+    line = draw(schema_lines())[0]
+    parts = line.split(" ")
+    i = draw(st.integers(min_value=0, max_value=len(parts) - 1))
+    edit = draw(st.sampled_from(["hidden", "digits", "space", "break"]))
+    if edit == "hidden":
+        at = draw(st.integers(min_value=0, max_value=len(parts[i])))
+        parts[i] = parts[i][:at] + draw(st.sampled_from(HIDDEN_SPACE)) + parts[i][at:]
+    elif edit == "digits":
+        parts[i] = draw(st.sampled_from(["", "-"])) + BIG
+    elif edit == "space":
+        parts[i] = draw(st.sampled_from([" ", ""])) + parts[i] + draw(st.sampled_from([" ", ""]))
+    else:
+        parts[-1] += draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    return " ".join(parts)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(schema_lines().map(lambda case: case[0]), hostile_lines(),
+                 st.sampled_from(HOSTILE_LINES)))
+def test_decoder_equals_the_split_reference(line):
+    assert _outcome(decode_message, line) == _outcome(reference_decode, line), line
+
+
+VALID_LINES = [
+    "SYNC -7", "SYNCR 1 2 3", f"REPORT CAL 12 abcdefgh {TOKEN_0}",
+    f"REPORT EXE 0 abcdefgh {TOKEN_0}", "ACK CAL 3", "ACK EXE 0", "REJ DUP",
+    f"SURVEY abcdefgh FORGOT {encode_survey_text('hi')}",
+]
+
+
+@pytest.mark.parametrize("line", VALID_LINES)
+def test_hidden_space_in_every_field_is_malformed(line):
+    # the reference rejects these too (covered above); here every place is tried
+    assert decode_message(line) == reference_decode(line)
+    parts = line.split(" ")
+    for i, part in enumerate(parts):
+        for at in range(len(part) + 1):
+            for space in HIDDEN_SPACE:
+                edited = " ".join([*parts[:i], part[:at] + space + part[at:], *parts[i + 1:]])
+                assert _outcome(reference_decode, edited) is MalformedLine, edited
+                assert _outcome(decode_message, edited) is MalformedLine, edited
 
 
 @pytest.mark.parametrize("field", NON_CANONICAL_TEXT)
@@ -200,8 +309,6 @@ def test_one_integer_grammar_everywhere(text, valid):
 
 
 # --- every grammar regex is anchored at the true end of the string ----------------
-
-TOKEN_0 = derive_token("k", RoundRef.cal(0))
 
 
 @pytest.mark.parametrize(

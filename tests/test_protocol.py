@@ -151,6 +151,18 @@ class TestWireGrammar:
         assert line
         assert "\n" not in line and "\r" not in line
 
+    def test_equal_rounds_share_one_ref(self):
+        token = derive_token("k", RoundRef.cal(3))
+        report = decode_message(f"REPORT CAL 3 abcdefgh {token}")
+        assert report.round is decode_message("ACK CAL 3").round
+
+    def test_round_cache_stays_bounded_under_hostile_indices(self):
+        limit = protocol._round_ref.cache_info().maxsize
+        for i in range(3 * limit):
+            index = str(i + 1) + "9" * 4000
+            assert decode_message(f"ACK CAL {index}") == Ack(RoundRef.cal(int(index)))
+        assert protocol._round_ref.cache_info().currsize <= limit
+
 
 class TestRoundRef:
     def test_exe_index_constrained(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rollcall import sim, stats
+from rollcall import client as client_mod, counter as counter_mod, sim, stats
 from rollcall.client import report_step, sync_sample
 from rollcall.counter import parse_log_line, log_distribution
 from rollcall.sim import (
@@ -196,6 +196,24 @@ class TestSharedClientPolicy:
         clean = run_scenario(replace(spec, send_margin_ms=30))
         assert early.counts == clean.counts
         assert early.n_star == clean.n_star
+
+
+class TestCodecWork:
+    def test_known_answers_are_not_decoded_again(self, monkeypatch):
+        decoded = []
+        for module in (counter_mod, client_mod):
+            real = module.decode_message
+            monkeypatch.setattr(
+                module, "decode_message", lambda line, real=real: decoded.append(line) or real(line)
+            )
+        report_step.cache_clear()
+        outcome = run_scenario(small_spec())
+        events = [line.split(" ", 2)[1:] for line in outcome.event_trace]
+        deliveries = sum(kind == "DELIVER" for kind, _line in events)
+        replies = [line for kind, line in events if kind == "REPLY"]
+        syncrs = sum(line.startswith("SYNCR ") for line in replies)
+        answers = {line for line in replies if not line.startswith("SYNCR ")}
+        assert len(decoded) <= deliveries + syncrs + len(answers)
 
 
 @st.composite
