@@ -187,15 +187,17 @@ class CounterCore:
     def __init__(self, config: ExperimentConfig, log: EventLog | None = None) -> None:
         self.config = config
         self.log = log if log is not None else EventLog()
+        rounds = config.rounds()
         self.tallies: dict[RoundRef, RoundTally] = {
-            r: RoundTally(r, 0, config.window_open(r), config.window_close(r))
-            for r in config.rounds()
+            r: RoundTally(r, 0, config.window_open(r), config.window_close(r)) for r in rounds
         }
         self.seen: set[tuple[RoundRef, str]] = set()
         self.surveys: list[Survey] = []
-        # every answer a report or survey can get, each formatted once
-        answers = [*map(Ack, config.rounds()), *map(Reject, REJECT_REASONS)]
-        self._answer_lines = {answer: encode_message(answer) for answer in answers}
+        # the token of each scheduled round, and every answer a report or
+        # survey can get, each formatted once
+        self._tokens = {r: derive_token(config.secret, r) for r in rounds}
+        self._ack_lines = {r: encode_message(Ack(r)) for r in rounds}
+        self._reject_lines = {why: encode_message(Reject(why)) for why in REJECT_REASONS}
 
     # -- ingest ---------------------------------------------------------
 
@@ -204,28 +206,35 @@ class CounterCore:
     ) -> Ack | Reject:
         """Decide and log one report; `raw`, its wire line as received, is
         what the log records (the report is encoded again when not given)."""
+        reason = self._decide(report, arrival_ms, raw)
+        return Ack(report.round) if reason is None else Reject(reason)
+
+    def _decide(self, report: Report, arrival_ms: int, raw: str | None) -> str | None:
+        """Log the report as accepted, counted, or rejected; the reason if rejected."""
         if raw is None:
             raw = encode_message(report)
         reason = self._rejection_reason(report, arrival_ms)
         if reason is not None:
             self.log.append(arrival_ms, TAG_REJECT, raw)
-            return Reject(reason)
+            return reason
         self.log.append(arrival_ms, TAG_ACCEPT, raw)
         self.seen.add((report.round, report.nonce))
         self.tallies[report.round].count += 1
-        return Ack(report.round)
+        return None
 
     def _rejection_reason(self, report: Report, arrival_ms: int) -> str | None:
-        if report.token != derive_token(self.config.secret, report.round):
+        round = report.round
+        token = self._tokens.get(round)
+        if report.token != (token or derive_token(self.config.secret, round)):
             return "BADTOKEN"
-        if not self.config.has_round(report.round):
+        tally = self.tallies.get(round)
+        if tally is None:
             return "BADROUND"
-        tally = self.tallies[report.round]
         if arrival_ms < tally.window_open_ms:
             return "EARLY"
         if arrival_ms > tally.window_close_ms or tally.closed:
             return "LATE"
-        if (report.round, report.nonce) in self.seen:
+        if (round, report.nonce) in self.seen:
             return "DUP"
         return None
 
@@ -245,15 +254,16 @@ class CounterCore:
             t3 = arrival_ms if send_ms is None else send_ms
             return encode_message(SyncResponse(msg.t1, arrival_ms, t3))
         if isinstance(msg, Report):
-            return self._answer_lines[self.accept_report(msg, arrival_ms, line)]
+            reason = self._decide(msg, arrival_ms, line)
+            return self._ack_lines[msg.round] if reason is None else self._reject_lines[reason]
         if isinstance(msg, Survey):
-            return self._answer_lines[self.accept_survey(msg, arrival_ms)]
+            return self._ack_lines[self.accept_survey(msg, arrival_ms).round]
         # a syntactically valid line that is not a client-to-counter message
         return self._reject_malformed(line, arrival_ms)
 
     def _reject_malformed(self, line: str, arrival_ms: int) -> str:
         self.log.append(arrival_ms, TAG_REJECT, line)
-        return encode_message(Reject("MALFORMED"))
+        return self._reject_lines["MALFORMED"]
 
     # -- round lifecycle --------------------------------------------------
 

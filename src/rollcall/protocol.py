@@ -49,7 +49,12 @@ class ConfigError(ProtocolError):
 
 @dataclass(frozen=True)
 class RoundRef:
-    """Reference to one scheduled round: a calibration index or the execution round."""
+    """Reference to one scheduled round: a calibration index or the execution round.
+
+    `cal`, `exe`, `ExperimentConfig.rounds` and the decoder intern rounds in
+    `_round_ref`'s bounded cache, so equal rounds are mostly one object; any
+    two equal rounds, interned or not, hash alike. The hash is computed once.
+    """
 
     kind: str
     index: int
@@ -61,14 +66,21 @@ class RoundRef:
             raise ValueError("execution round carries no index other than 0")
         if self.index < 0:
             raise ValueError("round index must be non-negative")
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self) -> tuple:
+        return RoundRef, (self.kind, self.index)  # string hashes differ between processes
 
     @classmethod
     def cal(cls, index: int) -> "RoundRef":
-        return cls(CAL, index)
+        return _round_ref(f"{CAL} {index}")
 
     @classmethod
     def exe(cls) -> "RoundRef":
-        return cls(EXE, 0)
+        return _round_ref(f"{EXE} 0")
 
     @property
     def is_execution(self) -> bool:

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import stats
 from .client import ReportStep, UptimeRecord, certify_shutdown, report_step, sync_sample
 from .counter import CounterCore
-from .protocol import ExperimentConfig, Report, RoundRef, derive_token, encode_message
+from .protocol import ExperimentConfig, Report, RoundRef, _check_nonce, derive_token, encode_message
 from .timesync import ClockSyncError, SyncSample, best_estimate
 
 DEFENSE = "DEFENSE"
@@ -139,32 +139,32 @@ class SimOutcome:
 class EventLoop:
     """Time-ordered callback queue; ties break by insertion order.
 
-    A heap holds each distinct virtual millisecond once, and a dict maps it to
-    its callbacks in insertion order: many events share a millisecond, so this
-    is one heap push and pop per millisecond instead of one per event. A
-    callback scheduled at or before `now` joins the running millisecond's list.
+    An event is a callable and its arguments, never a fresh closure. A heap
+    holds each distinct virtual millisecond once, and a dict maps it to its
+    events in insertion order: one heap push and pop per millisecond instead of
+    one per event. An event at or before `now` joins the running millisecond.
     """
 
     def __init__(self) -> None:
         self.now = 0
         self._times: list[int] = []
-        self._due: dict[int, list[Callable[[], None]]] = {}
+        self._due: dict[int, list[tuple[Callable[..., None], tuple]]] = {}
 
-    def schedule(self, at_ms: int, fn: Callable[[], None]) -> None:
+    def schedule(self, at_ms: int, fn: Callable[..., None], *args: object) -> None:
         if at_ms < self.now:
             at_ms = self.now
         bucket = self._due.get(at_ms)
         if bucket is None:
-            self._due[at_ms] = [fn]
+            self._due[at_ms] = [(fn, args)]
             heapq.heappush(self._times, at_ms)
         else:
-            bucket.append(fn)
+            bucket.append((fn, args))
 
     def run(self) -> None:
         while self._times:
             self.now = at = heapq.heappop(self._times)
-            for fn in self._due[at]:  # also runs what the bucket's callbacks append
-                fn()
+            for fn, args in self._due[at]:  # also runs what the bucket's events append
+                fn(*args)
             del self._due[at]
 
 
@@ -214,8 +214,8 @@ class VirtualNet:
         if self.trace is not None:
             self.trace.append(f"{self.loop.now} {kind} {line}")
 
-    def request(self, line: str, on_response: Callable[[str], None]) -> None:
-        """One client-to-counter exchange; the response may never arrive."""
+    def request(self, line: str, on_response: Callable[..., None], *ctx: object) -> None:
+        """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered."""
         self._note("SEND", line)
         copies = 2 if self.faults.duplicate_reports and line.startswith("REPORT ") else 1
         for _ in range(copies):
@@ -223,22 +223,19 @@ class VirtualNet:
                 self._note("DROP", line)
                 continue
             up = self._latency() + self.net.asym_up_ms
+            self.loop.schedule(self.loop.now + up, self._deliver, line, on_response, ctx)
 
-            def deliver(line: str = line) -> None:
-                self._note("DELIVER", line)
-                response = self.counter_handler(line, self.loop.now)
-                if self._lost(self.loop.now):
-                    self._note("DROP-REPLY", response)
-                    return
-                down = self._latency()
+    def _deliver(self, line: str, on_response: Callable[..., None], ctx: tuple) -> None:
+        self._note("DELIVER", line)
+        response = self.counter_handler(line, self.loop.now)
+        if self._lost(self.loop.now):
+            self._note("DROP-REPLY", response)
+            return
+        self.loop.schedule(self.loop.now + self._latency(), self._reply, response, on_response, ctx)
 
-                def reply(response: str = response) -> None:
-                    self._note("REPLY", response)
-                    on_response(response)
-
-                self.loop.schedule(self.loop.now + down, reply)
-
-            self.loop.schedule(self.loop.now + up, deliver)
+    def _reply(self, response: str, on_response: Callable[..., None], ctx: tuple) -> None:
+        self._note("REPLY", response)
+        on_response(response, *ctx)
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq design, pool of 4 words)
@@ -312,6 +309,26 @@ def _client_draws(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     return participates, words[:, n + 1 :] % (spec.send_jitter_ms + 1)
 
 
+class _RoundPlan(NamedTuple):
+    """A round's draw column, window in counter time and REPORT line `head nonce token`."""
+
+    round: RoundRef
+    column: int
+    window_open: int
+    window_close: int
+    head: str
+    token: str
+
+
+def _round_plans(config: ExperimentConfig) -> Iterator[_RoundPlan]:
+    """Every round in draw-column order; REPORT parts are cut from a real Report."""
+    for column, round in enumerate(config.rounds()):
+        report = Report(round, "sim-nonce", derive_token(config.secret, round))
+        head, _nonce, token = encode_message(report).rsplit(" ", 2)
+        window = config.window_open(round), config.window_close(round)
+        yield _RoundPlan(round, column, *window, head, token)
+
+
 class SimClient:
     """One scripted participant walking the real round lifecycle."""
 
@@ -321,6 +338,7 @@ class SimClient:
         self.sim = sim
         self.index = index
         self.nonce = f"sim-{index:08d}"
+        _check_nonce(self.nonce)  # so that every REPORT line built from it is valid
         spec = sim.spec
         self.participates, self.jitter = participates, jitter
         self.true_offset = spec.faults.offset_of(index)  # add to local clock for counter time
@@ -328,7 +346,7 @@ class SimClient:
         self.offset_est: int | None = None if self.synced else 0
         self._sync_samples: list[SyncSample] = []
         self._sync_attempts = 0
-        self._settled: set[RoundRef] = set()  # acknowledged or given up
+        self._settled: set[int] = set()  # columns of rounds acknowledged or given up
 
     # clock conversions ----------------------------------------------------
 
@@ -356,31 +374,27 @@ class SimClient:
         self._sync_attempts += 1
         t1 = self._local_now()
         expected = len(self._sync_samples)
+        self.sim.net.request(f"SYNC {t1}", self._on_sync_answer, t1, expected)
+        if self.sim.net_can_drop:  # else the response always arrives and drives the next step
+            timeout = self.sim.spec.retry_ms + 2 * self.sim.spec.net.max_latency_ms + 50
+            self.sim.loop.schedule(self.sim.loop.now + timeout, self._on_sync_timeout, expected)
 
-        def on_response(line: str) -> None:
-            if len(self._sync_samples) != expected or self.offset_est is not None:
-                return  # a retry already completed this exchange
-            sample = sync_sample(line, t1, self._local_now())
-            if sample is None:
-                return
-            self._sync_samples.append(sample)
-            self._sync_step()
+    def _on_sync_answer(self, line: str, t1: int, expected: int) -> None:
+        if len(self._sync_samples) != expected or self.offset_est is not None:
+            return  # a retry already completed this exchange
+        sample = sync_sample(line, t1, self._local_now())
+        if sample is None:
+            return
+        self._sync_samples.append(sample)
+        self._sync_step()
 
-        self.sim.net.request(f"SYNC {t1}", on_response)
-        if not self.sim.net_can_drop:
-            return  # the response always arrives and drives the next step
-
-        timeout = self.sim.spec.retry_ms + 2 * self.sim.spec.net.max_latency_ms + 50
-
-        def on_timeout(expected: int = expected) -> None:
-            if self.offset_est is not None or len(self._sync_samples) != expected:
-                return
-            if self._sync_attempts >= len(self._sync_samples) + 8:
-                self._sync_step(force=True)  # give up on further exchanges
-            else:
-                self._sync_once()
-
-        self.sim.loop.schedule(self.sim.loop.now + timeout, on_timeout)
+    def _on_sync_timeout(self, expected: int) -> None:
+        if self.offset_est is not None or len(self._sync_samples) != expected:
+            return
+        if self._sync_attempts >= len(self._sync_samples) + 8:
+            self._sync_step(force=True)  # give up on further exchanges
+        else:
+            self._sync_once()
 
     def _sync_step(self, force: bool = False) -> None:
         if self.offset_est is not None:
@@ -399,19 +413,15 @@ class SimClient:
     # rounds ------------------------------------------------------------------
 
     def _schedule_rounds(self) -> None:
-        config = self.sim.spec.config
-        for round, window_open in self.sim.round_windows:
-            i = config.n_rounds if round.is_execution else round.index
-            if not self.participates[i]:
+        margin = self.sim.spec.send_margin_ms
+        for plan in self.sim.plans:
+            if not self.participates[plan.column]:
                 continue
-            target = window_open + self.sim.spec.send_margin_ms + self.jitter[i]
-            when = self._true_time_for(target)
-            if round.is_execution:
-                self.sim.loop.schedule(when, lambda r=round: self._attempt_execution(r))
-            else:
-                self.sim.loop.schedule(when, lambda r=round: self._try_send(r))
+            when = self._true_time_for(plan.window_open + margin + self.jitter[plan.column])
+            first = self._attempt_execution if plan.round.is_execution else self._try_send
+            self.sim.loop.schedule(when, first, plan)
 
-    def _attempt_execution(self, round: RoundRef) -> None:
+    def _attempt_execution(self, plan: _RoundPlan) -> None:
         config = self.sim.spec.config
         skew = self.true_offset - (self.offset_est or 0)
         records = [
@@ -419,37 +429,28 @@ class SimClient:
             UptimeRecord("UP", config.t_star_ms + config.delta_tau_ms + skew + SHUTDOWN_SLACK_MS),
         ]
         if certify_shutdown(records, config):
-            self._try_send(round)
+            self._try_send(plan)
 
-    def _try_send(self, round: RoundRef) -> None:
-        if round in self._settled:
+    def _try_send(self, plan: _RoundPlan) -> None:
+        if plan.column in self._settled:
             return
-        config = self.sim.spec.config
-        if self._est_counter_now() > config.window_close(round):
-            self._settled.add(round)
+        if self._est_counter_now() > plan.window_close:
+            self._settled.add(plan.column)
             return
-        line = encode_message(
-            Report(round, self.nonce, derive_token(config.secret, round))
-        )
-
-        def on_response(response: str) -> None:
-            if round in self._settled:
-                return
-            step = report_step(response)
-            if step is ReportStep.RETRY:
-                self.sim.loop.schedule(
-                    self.sim.loop.now + self.sim.spec.retry_ms, lambda: self._try_send(round)
-                )
-            else:
-                self._settled.add(round)
-
-        self.sim.net.request(line, on_response)
-        if self.sim.net_can_drop:
+        sim = self.sim
+        sim.net.request(f"{plan.head} {self.nonce} {plan.token}", self._on_answer, plan)
+        if sim.net_can_drop:
             # a lost request or reply never answers; poll until the window closes
-            retry_at = (
-                self.sim.loop.now + self.sim.spec.retry_ms + 2 * self.sim.spec.net.max_latency_ms
-            )
-            self.sim.loop.schedule(retry_at, lambda: self._try_send(round))
+            retry_at = sim.loop.now + sim.spec.retry_ms + 2 * sim.spec.net.max_latency_ms
+            sim.loop.schedule(retry_at, self._try_send, plan)
+
+    def _on_answer(self, response: str, plan: _RoundPlan) -> None:
+        if plan.column in self._settled:
+            return
+        if report_step(response) is ReportStep.RETRY:
+            self.sim.loop.schedule(self.sim.loop.now + self.sim.spec.retry_ms, self._try_send, plan)
+        else:
+            self._settled.add(plan.column)
 
 
 class Simulation:
@@ -458,20 +459,18 @@ class Simulation:
         self.loop = EventLoop()
         self.trace: list[str] | None = [] if capture_trace else None
         self.counter = CounterCore(spec.config)
-        self.round_windows = [(r, spec.config.window_open(r)) for r in spec.config.rounds()]
+        self.plans = list(_round_plans(spec.config))
         self.net_can_drop = spec.net.loss_prob > 0.0 or spec.faults.loss_burst is not None
         self.sync_offsets: dict[int, int] = {}
         net_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((spec.seed, _NET_STREAM_TAG)))
         )
         self.net = VirtualNet(
-            self.loop, net_rng, spec.net, spec.faults,
-            lambda line, arrival: self.counter.handle_line(line, arrival),
-            self.trace,
+            self.loop, net_rng, spec.net, spec.faults, self.counter.handle_line, self.trace
         )
-        for round in spec.config.rounds():
-            close_at = spec.config.window_close(round) + 1
-            self.loop.schedule(close_at, lambda r=round, t=close_at: self.counter.close_round(r, t))
+        for plan in self.plans:
+            close_at = plan.window_close + 1
+            self.loop.schedule(close_at, self.counter.close_round, plan.round, close_at)
 
     def run(self) -> tuple[list[int], int]:
         rows = zip(*(matrix.tolist() for matrix in _client_draws(self.spec)))

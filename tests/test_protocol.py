@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rollcall import protocol
+from rollcall.counter import CounterCore
 from rollcall.protocol import (
+    CAL,
     Ack,
     ConfigError,
     ExperimentConfig,
@@ -176,6 +183,52 @@ class TestRoundRef:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             RoundRef("XYZ", 0)
+
+    def test_interned_constructor_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            RoundRef.cal(-1)
+
+    def test_a_round_pickled_in_another_process_hashes_by_value(self):
+        # string hashes differ between processes, so a cached hash must not travel
+        def run(seed, code, data=b""):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(Path(protocol.__file__).parents[1])}
+            return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                                  capture_output=True, check=True, timeout=60).stdout
+
+        header = "import pickle, sys; from rollcall.protocol import RoundRef; "
+        data = run("1", header + "sys.stdout.buffer.write(pickle.dumps(RoundRef.cal(3)))")
+        verdict = run("2", header + "r = pickle.loads(sys.stdin.buffer.read()); "
+                      "print(r == RoundRef(\"CAL\", 3) and hash(r) == hash(RoundRef(\"CAL\", 3)))",
+                      data)
+        assert verdict == b"True\n"
+
+    # 100 scheduled rounds: more than the 64 the round cache holds
+    WIDE = ExperimentConfig("wide", "k", 0, 10_000, 100, 2_000, 1_000_000, 2_000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 99) | st.integers(0, 10**6))
+    def test_equal_rounds_behave_alike_past_the_cache(self, index):
+        interned = RoundRef.cal(index)
+        built = RoundRef(CAL, index)
+        limit = protocol._round_ref.cache_info().maxsize
+        for filler in range(limit):  # evicts `interned` from the cache
+            RoundRef.cal(10**7 + filler)
+        fresh = RoundRef.cal(index)
+        assert fresh is not interned and fresh == interned == built
+        assert hash(fresh) == hash(interned) == hash(built)
+        core = CounterCore(self.WIDE)
+        token = derive_token("k", built)
+        if index >= self.WIDE.n_rounds:
+            at = self.WIDE.window_open(RoundRef.cal(0))
+            assert core.handle_line(f"REPORT CAL {index} nonce-001 {'0' * 32}", at) == "REJ BADTOKEN"
+            assert core.handle_line(f"REPORT CAL {index} nonce-001 {token}", at) == "REJ BADROUND"
+            return
+        at = self.WIDE.window_open(built)
+        assert core.accept_report(Report(built, "nonce-001", token), at) == Ack(fresh)
+        assert core.tallies[interned].count == core.tallies[fresh].count == 1
+        assert (interned, "nonce-001") in core.seen and (fresh, "nonce-001") in core.seen
+        assert core.accept_report(Report(interned, "nonce-001", token), at) == Reject("DUP")
 
 
 CONFIG_TEXT = """

@@ -1,5 +1,7 @@
+import hashlib
 import heapq
 import itertools
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rollcall import client as client_mod, counter as counter_mod, sim, stats
+from rollcall import client as client_mod, counter as counter_mod, protocol, sim, stats
 from rollcall.client import report_step, sync_sample
 from rollcall.counter import parse_log_line, log_distribution
+from rollcall.protocol import RoundRef
 from rollcall.sim import (
     COPING,
     DEFENSE,
@@ -216,6 +219,29 @@ class TestCodecWork:
         assert len(decoded) <= deliveries + syncrs + len(answers)
 
 
+class TestHopWork:
+    def test_reports_are_checked_per_round_and_per_delivery_never_per_send(self, monkeypatch):
+        checked = []
+        real = protocol.Report.__post_init__
+        monkeypatch.setattr(
+            protocol.Report, "__post_init__", lambda report: checked.append(report) or real(report)
+        )
+        spec = small_spec()
+        outcome = run_scenario(spec)
+        events = [line.split(" ", 2)[1:] for line in outcome.event_trace]
+        sends = sum(kind == "SEND" and line.startswith("REPORT ") for kind, line in events)
+        deliveries = sum(kind == "DELIVER" and line.startswith("REPORT ") for kind, line in events)
+        assert sends == deliveries > 2 * len(spec.config.rounds())  # a clean run drops nothing
+        assert len(checked) <= len(spec.config.rounds()) + deliveries
+
+    def test_rounds_are_one_object_from_every_source(self):
+        config = small_spec().config
+        for i, round in enumerate(config.rounds()[:-1]):
+            decoded = protocol.decode_message(f"REPORT CAL {i} nonce-001 {'0' * 32}").round
+            assert RoundRef.cal(i) is round is decoded
+        assert RoundRef.exe() is config.rounds()[-1] is protocol.decode_message("ACK EXE 0").round
+
+
 @st.composite
 def guarded_specs(draw):
     """Specs at and near every edge of `_counts_are_draws`, on both sides."""
@@ -374,31 +400,68 @@ class TestStreams:
             assert digests == recorded[workload][:2], workload
 
 
+class TestGoldenRuns:
+    # sha256 of (counts, n_star, event_trace, counter_log, sorted sync_offsets)
+    # per child seed of the benchmark's seed 1 at M=120: every hop, answer and
+    # log line in order, where the digests above pin only the counts
+    GOLDEN = {
+        "mc-clean": [
+            "28756e9edc0fc5c0bbfe18a4e806470141855dac922a5ab558d2685585a084bd",
+            "ec176b4142d261a9f85f2db5853cb6d5b44b7a0ba987f5490a2037b05bc849fc",
+            "f1926e368fba88409e3a8b24c9aaa6d02cabbdbbb754e2b86cd6419f73b8bda6",
+            "bdc46a1553c3cdb46c68fdc8771c91258364192a76a3e9483cbc0c44fa987f57",
+        ],
+        "mc-faulty": [
+            "6e644542e74067b2fca1548ccd6aaed88aa1feee6e0e4dc4b35b0f2b1335b669",
+            "5c95b79a1421e6be5bfa9c45b80476e8c2cd881d8f5244e19b22973b0b9af939",
+            "6cc5e782279c3b388bf0bb47e501cbe674168e99bc0f299d1460e66c04abbede",
+            "80404eb9f858a392a3e3924b28cbe99b5c936107b7a47dce2c307439e8f98a1e",
+        ],
+    }
+
+    @pytest.mark.parametrize("workload", sorted(GOLDEN))
+    def test_whole_runs_match_the_golden_hashes(self, workload, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import mcload
+
+        spec = mcload.SPECS[workload](mcload.DEFAULT_SEED, m_clients=120)
+        hashes = []
+        for child in _child_seeds(mcload.DEFAULT_SEED, len(self.GOLDEN[workload])):
+            out = run_scenario(replace(spec, seed=child))
+            record = [out.counts, out.n_star, out.event_trace, out.counter_log,
+                      sorted(out.sync_offsets.items())]
+            hashes.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
+        assert hashes == self.GOLDEN[workload]
+
+
 class HeapLoop:
-    """The reference queue: one (at, seq, fn) heap entry per event."""
+    """The reference queue: one (at, seq, fn, args) heap entry per event."""
 
     def __init__(self):
         self.now = 0
         self._seq = 0
         self._heap = []
 
-    def schedule(self, at_ms, fn):
+    def schedule(self, at_ms, fn, *args):
         self._seq += 1
-        heapq.heappush(self._heap, (max(at_ms, self.now), self._seq, fn))
+        heapq.heappush(self._heap, (max(at_ms, self.now), self._seq, fn, args))
 
     def run(self):
         while self._heap:
-            at, _, fn = heapq.heappop(self._heap)
+            at, _, fn, args = heapq.heappop(self._heap)
             self.now = at
-            fn()
+            fn(*args)
 
 
-# an event: (offset from the scheduling time, events it schedules when it runs);
-# offsets below 0 fall in the past, 0 at now, small ones on pending milliseconds
+# an event: (offset from the scheduling time, its form: 0 for a closure and k > 0
+# for a call with k + 1 arguments, events it schedules when it runs); offsets
+# below 0 fall in the past, 0 at now, small ones on pending milliseconds
 event_programs = st.lists(
     st.recursive(
-        st.tuples(st.integers(-3, 3), st.just(())),
-        lambda children: st.tuples(st.integers(-3, 3), st.lists(children, max_size=4)),
+        st.tuples(st.integers(-3, 3), st.integers(0, 3), st.just(())),
+        lambda children: st.tuples(
+            st.integers(-3, 3), st.integers(0, 3), st.lists(children, max_size=4)
+        ),
         max_leaves=40,
     ),
     min_size=1, max_size=8,
@@ -409,16 +472,19 @@ def play(loop, program):
     order = []
     ids = itertools.count()
 
+    def fire(ident, children, *args):
+        order.append((ident, loop.now, args))
+        for child in children:
+            schedule(child)
+
     def schedule(event):
-        offset, children = event
+        offset, arity, children = event
         ident = next(ids)
-
-        def fire():
-            order.append((ident, loop.now))
-            for child in children:
-                schedule(child)
-
-        loop.schedule(loop.now + offset, fire)
+        if arity:
+            args = [f"{ident}:{i}" for i in range(arity - 1)]
+            loop.schedule(loop.now + offset, fire, ident, children, *args)
+        else:
+            loop.schedule(loop.now + offset, lambda: fire(ident, children))
 
     for event in program:
         schedule(event)
@@ -440,6 +506,22 @@ class TestPlumbing:
         loop.schedule(1, lambda: order.append("c"))
         loop.run()
         assert order == ["c", "a", "b"]
+
+    def test_event_loop_fifo_mixes_closures_and_arguments(self):
+        loop = EventLoop()
+        order = []
+
+        def then_now(tag):
+            order.append(tag)
+            loop.schedule(5, order.append, "joined")  # joins the running millisecond
+
+        loop.schedule(5, order.append, "a")
+        loop.schedule(5, lambda: order.append("b"))
+        loop.schedule(5, then_now, "c")
+        loop.schedule(5, order.extend, ("d", "e"))
+        loop.schedule(1, lambda: order.append("first"))
+        loop.run()
+        assert order == ["first", "a", "b", "c", "d", "e", "joined"]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
