@@ -21,9 +21,10 @@ import os
 import socket
 import socketserver
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from .protocol import (
     REJECT_REASONS,
@@ -126,59 +127,80 @@ def _drop_torn_tail(path: str | Path) -> None:
 class EventLog:
     """Append-only sink; `sync` makes what was appended durable.
 
-    With a path, lines go to that file only; without one (the simulator's
-    in-memory log) they are kept in `lines`. Appends are serialized by the
-    caller; `sync` may run concurrently with them and with other syncs.
+    With a path, each line goes to that file in one write on an append-only
+    fd; without one (the simulator's in-memory log) lines are kept in
+    `lines`. Appends are serialized by the caller; `sync` may run
+    concurrently with them and with other syncs.
+
+    The file log is fail-stop, so no answer goes out for an event not logged
+    whole and durable: a failed or short write is cut back to the last whole
+    line (best effort), and after it or a failed fsync, which a retry may
+    falsely report done (Rebello et al., ATC 2020), appends and uncovered
+    syncs raise CounterError.
     """
 
     def __init__(self, path: str | Path | None = None, fsync: bool = True) -> None:
         self.lines: list[str] = []
         self._fsync = fsync
-        self._fh: IO[str] | None = None
-        self._closed = False
-        # lines written to the file, and lines a finished fsync covers; a
-        # flag instead would lose an append that races an fsync in progress
-        self._appended = 0
-        self._synced = 0
+        self._fd: int | None = None
+        self._stopped: str | None = None  # why appends raise, once they do
+        # the end of the last whole line, and the end a finished fsync covers;
+        # a flag instead would lose an append that races an fsync in progress
+        self._end = self._synced = 0
         self._sync_lock = threading.Lock()
         if path is not None:
             _drop_torn_tail(path)
-            self._fh = open(path, "a", encoding="utf-8")
+            self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            self._end = self._synced = os.lseek(self._fd, 0, os.SEEK_END)
 
     def append(self, arrival_ms: int, tag: str, raw: str) -> str:
         line = f"{arrival_ms} {tag} {raw}"
-        if self._closed:
-            raise CounterError("the log is closed")
-        if self._fh is None:
+        if self._stopped is not None:
+            raise CounterError(self._stopped)
+        if self._fd is None:
             self.lines.append(line)
-        else:
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            self._appended += 1
+            return line
+        data = f"{line}\n".encode("utf-8")
+        try:
+            if os.write(self._fd, data) != len(data):
+                raise OSError("short write")
+        except OSError as exc:
+            with suppress(OSError):
+                os.ftruncate(self._fd, self._end)
+            self._stopped = f"the log stopped after a failed append: {exc}"
+            raise CounterError(self._stopped) from exc
+        self._end += len(data)
         return line
 
     def sync(self) -> None:
         """Return once every line appended before the call is durable.
 
         Concurrent callers queue on one lock; an fsync covers every line
-        flushed before it starts, so a caller whose lines an earlier fsync
+        written before it starts, so a caller whose lines an earlier fsync
         covered returns without one.
         """
-        target = self._appended
+        target = self._end
         with self._sync_lock:
-            if self._synced >= target or self._fh is None or not self._fsync:
+            if self._synced >= target or self._fd is None or not self._fsync:
                 return
-            covered = self._appended
-            os.fsync(self._fh.fileno())
+            if self._stopped is not None:
+                raise CounterError(self._stopped)
+            covered = self._end
+            try:
+                os.fsync(self._fd)
+            except OSError as exc:
+                self._stopped = f"the log stopped after a failed fsync: {exc}"
+                raise CounterError(self._stopped) from exc
             self._synced = covered
 
     def close(self) -> None:
-        self.sync()
+        if self._stopped is None:
+            self.sync()
         with self._sync_lock:
-            self._closed = True
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self._stopped = self._stopped or "the log is closed"
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
 
 class CounterCore:
@@ -201,27 +223,6 @@ class CounterCore:
 
     # -- ingest ---------------------------------------------------------
 
-    def accept_report(
-        self, report: Report, arrival_ms: int, raw: str | None = None
-    ) -> Ack | Reject:
-        """Decide and log one report; `raw`, its wire line as received, is
-        what the log records (the report is encoded again when not given)."""
-        reason = self._decide(report, arrival_ms, raw)
-        return Ack(report.round) if reason is None else Reject(reason)
-
-    def _decide(self, report: Report, arrival_ms: int, raw: str | None) -> str | None:
-        """Log the report as accepted, counted, or rejected; the reason if rejected."""
-        if raw is None:
-            raw = encode_message(report)
-        reason = self._rejection_reason(report, arrival_ms)
-        if reason is not None:
-            self.log.append(arrival_ms, TAG_REJECT, raw)
-            return reason
-        self.log.append(arrival_ms, TAG_ACCEPT, raw)
-        self.seen.add((report.round, report.nonce))
-        self.tallies[report.round].count += 1
-        return None
-
     def _rejection_reason(self, report: Report, arrival_ms: int) -> str | None:
         round = report.round
         token = self._tokens.get(round)
@@ -238,12 +239,6 @@ class CounterCore:
             return "DUP"
         return None
 
-    def accept_survey(self, survey: Survey, arrival_ms: int) -> Ack:
-        # surveys are never gated on participation; all of them are kept
-        self.log.append(arrival_ms, TAG_SURVEY, encode_message(survey))
-        self.surveys.append(survey)
-        return Ack(RoundRef.exe())
-
     def handle_line(self, line: str, arrival_ms: int, send_ms: int | None = None) -> str:
         """Decode and dispatch one inbound line; always returns a response line."""
         try:
@@ -253,11 +248,20 @@ class CounterCore:
         if isinstance(msg, SyncRequest):
             t3 = arrival_ms if send_ms is None else send_ms
             return encode_message(SyncResponse(msg.t1, arrival_ms, t3))
+        # a report or survey is logged as received, not encoded again
         if isinstance(msg, Report):
-            reason = self._decide(msg, arrival_ms, line)
-            return self._ack_lines[msg.round] if reason is None else self._reject_lines[reason]
-        if isinstance(msg, Survey):
-            return self._ack_lines[self.accept_survey(msg, arrival_ms).round]
+            reason = self._rejection_reason(msg, arrival_ms)
+            if reason is not None:
+                self.log.append(arrival_ms, TAG_REJECT, line)
+                return self._reject_lines[reason]
+            self.log.append(arrival_ms, TAG_ACCEPT, line)
+            self.seen.add((msg.round, msg.nonce))
+            self.tallies[msg.round].count += 1
+            return self._ack_lines[msg.round]
+        if isinstance(msg, Survey):  # never gated on participation; all are kept
+            self.log.append(arrival_ms, TAG_SURVEY, line)
+            self.surveys.append(msg)
+            return self._ack_lines[RoundRef.exe()]
         # a syntactically valid line that is not a client-to-counter message
         return self._reject_malformed(line, arrival_ms)
 
@@ -277,8 +281,8 @@ class CounterCore:
             raise CounterError(
                 f"round {round.wire()} window is open until {tally.window_close_ms}"
             )
-        tally.closed = True
         self.log.append(now_ms, TAG_CLOSE, round.wire())
+        tally.closed = True
         return tally
 
     def close_due(self, now_ms: int) -> list[RoundTally]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import re
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -47,40 +48,32 @@ class ConfigError(ProtocolError):
     """A config file or config value that violates the schedule contract."""
 
 
-@dataclass(frozen=True)
-class RoundRef:
+class RoundRef(namedtuple("RoundRef", "kind index")):
     """Reference to one scheduled round: a calibration index or the execution round.
 
-    `cal`, `exe`, `ExperimentConfig.rounds` and the decoder intern rounds in
-    `_round_ref`'s bounded cache, so equal rounds are mostly one object; any
-    two equal rounds, interned or not, hash alike. The hash is computed once.
+    A plain immutable value: it hashes and compares as the tuple
+    ``(kind, index)``, and it pickles through that tuple, so the checks below
+    also run on whatever another process sends.
     """
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (CAL, EXE):
-            raise ValueError(f"unknown round kind {self.kind!r}")
-        if self.kind == EXE and self.index != 0:
+    def __new__(cls, kind: str, index: int) -> "RoundRef":
+        if kind not in (CAL, EXE):
+            raise ValueError(f"unknown round kind {kind!r}")
+        if kind == EXE and index != 0:
             raise ValueError("execution round carries no index other than 0")
-        if self.index < 0:
+        if index < 0:
             raise ValueError("round index must be non-negative")
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
-    def __reduce__(self) -> tuple:
-        return RoundRef, (self.kind, self.index)  # string hashes differ between processes
+        return super().__new__(cls, kind, index)
 
     @classmethod
     def cal(cls, index: int) -> "RoundRef":
-        return _round_ref(f"{CAL} {index}")
+        return cls(CAL, index)
 
     @classmethod
     def exe(cls) -> "RoundRef":
-        return _round_ref(f"{EXE} 0")
+        return cls(EXE, 0)
 
     @property
     def is_execution(self) -> bool:
@@ -287,9 +280,11 @@ def _parse_int(text: str) -> int:
 def _round_ref(wire: str) -> RoundRef:
     """The round named by its wire text, such as ``CAL 3`` or ``EXE 0``.
 
-    Raises ValueError off the round grammar. Equal texts share one RoundRef
-    while they stay in the cache, whose bound also caps what hostile indices
-    of up to 8 KiB each can hold (about 0.5 MB).
+    Raises ValueError off the round grammar. Only the decoder and the log
+    reader call this: outside input arrives there, and equal texts share one
+    RoundRef while they stay in the cache, so the counter's dedupe set holds
+    one round object per round instead of one per report. The bound caps what
+    hostile indices of up to 8 KiB each can hold (about 0.5 MB).
     """
     if not _ROUND_RE.fullmatch(wire):
         raise ValueError(f"expected CAL <index> or EXE 0, got {wire!r}")

@@ -6,7 +6,7 @@ import pytest
 
 from rollcall.counter import CounterCore
 from rollcall.client import TransportError
-from rollcall.protocol import ExperimentConfig
+from rollcall.protocol import ExperimentConfig, Message, Report, decode_message, encode_message
 
 
 class FakeClock:
@@ -43,6 +43,11 @@ class LoopbackTransport:
         if self.drop is not None and self.drop(line):
             raise TransportError("injected network failure")
         return self.core.handle_line(line, self.clock.now_ms())
+
+
+def submit(core: CounterCore, report: Report, arrival_ms: int) -> Message:
+    """The answer `core` gives `report` on the wire, decoded."""
+    return decode_message(core.handle_line(encode_message(report), arrival_ms))
 
 
 def make_config(

@@ -1,4 +1,7 @@
+import errno
 import os
+import resource
+import signal
 import socket
 import sys
 import tempfile
@@ -32,7 +35,7 @@ from rollcall.protocol import (
     encode_message,
 )
 
-from conftest import FakeClock, make_config
+from conftest import FakeClock, make_config, submit
 
 
 def report_for(config, round, nonce):
@@ -44,26 +47,26 @@ class TestAcceptReport:
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
         inside = config.window_open(r0) + 1
-        assert core.accept_report(report_for(config, r0, "nonce-01"), inside) == Ack(r0)
+        assert submit(core, report_for(config, r0, "nonce-01"), inside) == Ack(r0)
         assert core.tallies[r0].count == 1
-        assert core.accept_report(report_for(config, r0, "nonce-01"), inside + 1) == Reject("DUP")
+        assert submit(core, report_for(config, r0, "nonce-01"), inside + 1) == Reject("DUP")
         assert core.tallies[r0].count == 1
 
     def test_window_boundaries(self, config):
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
         open_, close = config.window_open(r0), config.window_close(r0)
-        assert core.accept_report(report_for(config, r0, "early-000"), open_ - 1) == Reject("EARLY")
-        assert core.accept_report(report_for(config, r0, "edge-open"), open_) == Ack(r0)
-        assert core.accept_report(report_for(config, r0, "edge-close"), close) == Ack(r0)
-        assert core.accept_report(report_for(config, r0, "late-0000"), close + 1) == Reject("LATE")
+        assert submit(core, report_for(config, r0, "early-000"), open_ - 1) == Reject("EARLY")
+        assert submit(core, report_for(config, r0, "edge-open"), open_) == Ack(r0)
+        assert submit(core, report_for(config, r0, "edge-close"), close) == Ack(r0)
+        assert submit(core, report_for(config, r0, "late-0000"), close + 1) == Reject("LATE")
         assert core.tallies[r0].count == 2
 
     def test_bad_token(self, config):
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
         bad = Report(r0, "nonce-01", "0" * 32)
-        assert core.accept_report(bad, config.window_open(r0)) == Reject("BADTOKEN")
+        assert submit(core, bad, config.window_open(r0)) == Reject("BADTOKEN")
         assert core.tallies[r0].count == 0
 
     def test_bad_round_with_valid_token(self, config):
@@ -72,21 +75,21 @@ class TestAcceptReport:
         core = CounterCore(config)
         ghost = RoundRef.cal(99)
         report = Report(ghost, "nonce-01", derive_token(config.secret, ghost))
-        assert core.accept_report(report, config.window_open(RoundRef.cal(0))) == Reject("BADROUND")
+        assert submit(core, report, config.window_open(RoundRef.cal(0))) == Reject("BADROUND")
 
     def test_distinct_nonces_counted(self, config):
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
         at = config.window_open(r0)
         for i in range(5):
-            core.accept_report(report_for(config, r0, f"nonce-{i:03d}"), at + i)
+            submit(core, report_for(config, r0, f"nonce-{i:03d}"), at + i)
         assert core.tallies[r0].count == 5
 
     def test_rejections_never_mutate(self, config):
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
-        core.accept_report(Report(r0, "nonce-01", "f" * 32), config.window_open(r0))
-        core.accept_report(report_for(config, r0, "nonce-02"), config.window_open(r0) - 5)
+        submit(core, Report(r0, "nonce-01", "f" * 32), config.window_open(r0))
+        submit(core, report_for(config, r0, "nonce-02"), config.window_open(r0) - 5)
         assert core.tallies[r0].count == 0
         assert core.seen == set()
 
@@ -103,12 +106,12 @@ class TestRoundLifecycle:
         r0 = RoundRef.cal(0)
         at = config.window_open(r0)
         for i in range(3):
-            core.accept_report(report_for(config, r0, f"nonce-{i:03d}"), at)
+            submit(core, report_for(config, r0, f"nonce-{i:03d}"), at)
         after = config.window_close(r0) + 1
         tally = core.close_round(r0, after)
         assert tally.closed and tally.count == 3
         assert core.close_round(r0, after + 5) is tally
-        assert core.accept_report(report_for(config, r0, "nonce-xyz"), at) == Reject("LATE")
+        assert submit(core, report_for(config, r0, "nonce-xyz"), at) == Reject("LATE")
         assert len([l for l in core.log.lines if " CLOSE " in l]) == 1
 
     def test_distribution_requires_closed_calibration(self, config):
@@ -164,8 +167,8 @@ class TestSurveys:
     def test_surveys_are_append_only(self, config):
         core = CounterCore(config)
         at = config.t_star_ms + 1000
-        core.accept_survey(Survey("aaaaaaaa", "FORGOT", ""), at)
-        core.accept_survey(Survey("aaaaaaaa", "FORGOT", "second answer"), at + 1)
+        core.handle_line(encode_message(Survey("aaaaaaaa", "FORGOT", "")), at)
+        core.handle_line(encode_message(Survey("aaaaaaaa", "FORGOT", "second answer")), at + 1)
         assert [s.text for s in core.surveys] == ["", "second answer"]
 
 
@@ -191,7 +194,7 @@ class TestReplay:
         for idx, nonce, rel, corrupt in entries:
             round = RoundRef.exe() if idx == 3 else RoundRef.cal(idx)
             token = "0" * 32 if corrupt else derive_token(config.secret, round)
-            core.accept_report(Report(round, nonce, token), config.window_open(round) + rel)
+            submit(core, Report(round, nonce, token), config.window_open(round) + rel)
         core.close_due(config.window_close(RoundRef.exe()) + 1)
         events = [parse_log_line(line) for line in core.log.lines]
         replayed = replay_events(config, events)
@@ -208,17 +211,17 @@ class TestReplay:
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
         for i, nonce in enumerate(nonces):
-            core.accept_report(report_for(config, r0, nonce), config.window_open(r0) + i)
+            submit(core, report_for(config, r0, nonce), config.window_open(r0) + i)
         assert core.tallies[r0].count == 8
 
     def test_conservation_against_log(self, config):
         core = CounterCore(config)
         r0, r1 = RoundRef.cal(0), RoundRef.cal(1)
         at0, at1 = config.window_open(r0), config.window_open(r1)
-        core.accept_report(report_for(config, r0, "nonce-01"), at0)
-        core.accept_report(report_for(config, r0, "nonce-01"), at0)  # DUP
-        core.accept_report(report_for(config, r0, "nonce-02"), at0)
-        core.accept_report(report_for(config, r1, "nonce-01"), at1)  # same nonce, new round
+        submit(core, report_for(config, r0, "nonce-01"), at0)
+        submit(core, report_for(config, r0, "nonce-01"), at0)  # DUP
+        submit(core, report_for(config, r0, "nonce-02"), at0)
+        submit(core, report_for(config, r1, "nonce-01"), at1)  # same nonce, new round
         accepts = [l for l in core.log.lines if " ACCEPT " in l]
         assert len(accepts) == 3
         assert core.tallies[r0].count == 2
@@ -247,15 +250,15 @@ class TestLogFiles:
         path = tmp_path / "counter.log"
         r0 = RoundRef.cal(0)
         first = CounterCore(config, EventLog(path, fsync=False))
-        first.accept_report(report_for(config, r0, "nonce-01"), config.window_open(r0))
+        submit(first, report_for(config, r0, "nonce-01"), config.window_open(r0))
         first.log.close()
 
         core = replay_log_file(config, path, fsync=False)
         assert core.tallies[r0].count == 1
-        assert core.accept_report(
-            report_for(config, r0, "nonce-01"), config.window_open(r0) + 1
+        assert submit(
+            core, report_for(config, r0, "nonce-01"), config.window_open(r0) + 1
         ) == Reject("DUP")
-        core.accept_report(report_for(config, r0, "nonce-02"), config.window_open(r0) + 2)
+        submit(core, report_for(config, r0, "nonce-02"), config.window_open(r0) + 2)
         core.log.close()
         assert len(read_log(path)) == 3  # 1 old accept + dup reject + new accept
 
@@ -263,8 +266,8 @@ class TestLogFiles:
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
         exe = RoundRef.exe()
-        core.accept_report(report_for(config, r0, "nonce-01"), config.window_open(r0))
-        core.accept_report(report_for(config, exe, "nonce-01"), config.window_open(exe))
+        submit(core, report_for(config, r0, "nonce-01"), config.window_open(r0))
+        submit(core, report_for(config, exe, "nonce-01"), config.window_open(exe))
         core.close_due(config.window_close(exe) + 1)
         events = [parse_log_line(line) for line in core.log.lines]
         assert log_distribution(events) == ([1, 0, 0], 1)
@@ -363,11 +366,11 @@ class TestLogInterpreter:
         at = config.window_open(r0)
         core = replay_log_file(config, path, fsync=False)
         assert core.handle_line(f"REPORT CAL 0 {payload}", at) == "REJ MALFORMED"
-        core.accept_report(report_for(config, r0, "nonce-01"), at)
+        submit(core, report_for(config, r0, "nonce-01"), at)
         core.log.close()
         for _ in range(2):
             core = replay_log_file(config, path, fsync=False)
-            core.accept_report(report_for(config, r0, "nonce-02"), at)
+            submit(core, report_for(config, r0, "nonce-02"), at)
             core.log.close()
         events = read_log(path)
         assert [e.raw for e in events if e.tag == "REJECT"][0] == f"REPORT CAL 0 {payload}"
@@ -381,7 +384,7 @@ class TestLogInterpreter:
         with path.open("ab") as fh:
             fh.write(b"101 ACCEPT REPORT CAL 0 non")  # crash mid-write
         core = replay_log_file(config, path, fsync=False)
-        assert core.accept_report(report_for(config, r0, "nonce-02"), at) == Ack(r0)
+        assert submit(core, report_for(config, r0, "nonce-02"), at) == Ack(r0)
         core.log.close()
         assert path.read_bytes().count(b"non") == 2  # the torn bytes are gone
         again = replay_log_file(config, path, fsync=False)
@@ -450,6 +453,99 @@ class TestLogInterpreter:
         assert {r: t.count for r, t in replayed.tallies.items()} == {
             r: t.count for r, t in core.tallies.items()
         }
+
+
+class TestFailStopLog:
+    """A log write or fsync that fails stops the log: no answer goes out for
+    the event, nothing after it is logged, and restarts replay cleanly."""
+
+    @staticmethod
+    def _started(config, path, fsync=False):
+        core = replay_log_file(config, path, fsync=fsync)
+        r0 = RoundRef.cal(0)
+        assert submit(core, report_for(config, r0, "nonce-001"), config.window_open(r0)) == Ack(r0)
+        return core
+
+    @staticmethod
+    def _assert_restarts_replay(config, path, counted):
+        r0 = RoundRef.cal(0)
+        core = replay_log_file(config, path, fsync=False)
+        assert core.seen == {(r0, nonce) for nonce in counted}
+        assert submit(core, report_for(config, r0, "nonce-002"), config.window_open(r0)) == Ack(r0)
+        core.log.close()
+        again = replay_log_file(config, path, fsync=False)
+        again.log.close()
+        assert again.tallies[r0].count == len(counted | {"nonce-002"})
+
+    def test_append_past_the_file_size_limit(self, tmp_path, config):
+        # the limit and the ignored SIGXFSZ act on this process only, and only here
+        path = tmp_path / "counter.log"
+        core = self._started(config, path)
+        line = encode_message(report_for(config, RoundRef.cal(0), "nonce-002"))
+        at = config.window_open(RoundRef.cal(0))
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        try:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (path.stat().st_size + 20, limits[1]))
+            with pytest.raises(CounterError):
+                core.handle_line(line, at)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        with pytest.raises(CounterError):  # the client's retry is not answered either
+            core.handle_line(line, at)
+        assert core.tallies[RoundRef.cal(0)].count == 1
+        core.log.close()
+        self._assert_restarts_replay(config, path, {"nonce-001"})
+
+    @pytest.mark.parametrize("short", [False, True], ids=["raises", "returns-short"])
+    def test_a_write_cut_at_any_byte(self, tmp_path, config, monkeypatch, short):
+        at = config.window_open(RoundRef.cal(0))
+        line = encode_message(report_for(config, RoundRef.cal(0), "nonce-002"))
+        real_write = os.write
+        for k in range(len(f"{at} ACCEPT {line}\n") + (not short)):
+            path = tmp_path / f"cut-{k}.log"
+            core = self._started(config, path)
+            before = path.read_bytes()
+
+            def cut(fd, data):
+                kept = real_write(fd, data[:k])
+                if short:
+                    return kept
+                raise OSError(errno.EIO, "injected")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "write", cut)
+                with pytest.raises(CounterError):
+                    core.handle_line(line, at)
+            assert path.read_bytes() == before
+            with pytest.raises(CounterError):
+                core.handle_line(line, at)
+            core.log.close()
+            self._assert_restarts_replay(config, path, {"nonce-001"})
+
+    def test_a_failed_fsync(self, tmp_path, config, monkeypatch):
+        path = tmp_path / "counter.log"
+        core = self._started(config, path, fsync=True)
+        core.log.sync()
+        at = config.window_open(RoundRef.cal(0))
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "injected")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "fsync", failing_fsync)
+            logged = encode_message(report_for(config, RoundRef.cal(0), "nonce-003"))
+            assert core.handle_line(logged, at) == "ACK CAL 0"  # the service waits for a sync
+            with pytest.raises(CounterError):
+                core.log.sync()
+        with pytest.raises(CounterError):  # a retried fsync may report lost data as durable
+            core.log.sync()
+        with pytest.raises(CounterError):
+            core.handle_line(encode_message(report_for(config, RoundRef.cal(0), "nonce-004")), at)
+        core.log.close()
+        # the logged, never answered nonce-003 counts: logged before acked
+        self._assert_restarts_replay(config, path, {"nonce-001", "nonce-003"})
 
 
 class TestService:

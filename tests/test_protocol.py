@@ -27,6 +27,8 @@ from rollcall.protocol import (
     parse_config,
 )
 
+from conftest import submit
+
 # Frozen before the build with `printf '<secret>:<index>:<kind>' | sha256sum`.
 GOLDEN_TOKENS = {
     ("k", "CAL", 0): "8041cec80625ce75b1e4b7e7e4f837ce",
@@ -184,6 +186,9 @@ class TestRoundRef:
         with pytest.raises(ValueError):
             RoundRef("XYZ", 0)
 
+    def test_repr_names_the_fields(self):
+        assert repr(RoundRef.cal(3)) == "RoundRef(kind='CAL', index=3)"
+
     def test_interned_constructor_rejects_negative_index(self):
         with pytest.raises(ValueError):
             RoundRef.cal(-1)
@@ -209,12 +214,12 @@ class TestRoundRef:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 99) | st.integers(0, 10**6))
     def test_equal_rounds_behave_alike_past_the_cache(self, index):
-        interned = RoundRef.cal(index)
+        interned = decode_message(f"ACK CAL {index}").round
         built = RoundRef(CAL, index)
         limit = protocol._round_ref.cache_info().maxsize
         for filler in range(limit):  # evicts `interned` from the cache
-            RoundRef.cal(10**7 + filler)
-        fresh = RoundRef.cal(index)
+            decode_message(f"ACK CAL {10**7 + filler}")
+        fresh = decode_message(f"ACK CAL {index}").round
         assert fresh is not interned and fresh == interned == built
         assert hash(fresh) == hash(interned) == hash(built)
         core = CounterCore(self.WIDE)
@@ -225,10 +230,10 @@ class TestRoundRef:
             assert core.handle_line(f"REPORT CAL {index} nonce-001 {token}", at) == "REJ BADROUND"
             return
         at = self.WIDE.window_open(built)
-        assert core.accept_report(Report(built, "nonce-001", token), at) == Ack(fresh)
+        assert submit(core, Report(built, "nonce-001", token), at) == Ack(fresh)
         assert core.tallies[interned].count == core.tallies[fresh].count == 1
         assert (interned, "nonce-001") in core.seen and (fresh, "nonce-001") in core.seen
-        assert core.accept_report(Report(interned, "nonce-001", token), at) == Reject("DUP")
+        assert submit(core, Report(interned, "nonce-001", token), at) == Reject("DUP")
 
 
 CONFIG_TEXT = """

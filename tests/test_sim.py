@@ -234,12 +234,18 @@ class TestHopWork:
         assert sends == deliveries > 2 * len(spec.config.rounds())  # a clean run drops nothing
         assert len(checked) <= len(spec.config.rounds()) + deliveries
 
-    def test_rounds_are_one_object_from_every_source(self):
+    def test_rounds_are_one_value_from_every_source(self):
         config = small_spec().config
         for i, round in enumerate(config.rounds()[:-1]):
-            decoded = protocol.decode_message(f"REPORT CAL {i} nonce-001 {'0' * 32}").round
-            assert RoundRef.cal(i) is round is decoded
-        assert RoundRef.exe() is config.rounds()[-1] is protocol.decode_message("ACK EXE 0").round
+            line = f"REPORT CAL {i} nonce-001 {'0' * 32}"
+            decoded = protocol.decode_message(line).round
+            assert RoundRef.cal(i) == round == decoded
+            assert hash(RoundRef.cal(i)) == hash(round) == hash(decoded)
+            assert protocol.decode_message(line).round is decoded
+        decoded = protocol.decode_message("ACK EXE 0").round
+        assert RoundRef.exe() == config.rounds()[-1] == decoded
+        assert hash(RoundRef.exe()) == hash(config.rounds()[-1]) == hash(decoded)
+        assert protocol.decode_message("ACK EXE 0").round is decoded
 
 
 @st.composite
