@@ -18,6 +18,8 @@ from .protocol import (
     parse_config,
 )
 from .stats import (
+    COPING,
+    DEFENSE,
     AnalysisResult,
     CalibrationDistribution,
     analyze,
@@ -26,19 +28,29 @@ from .stats import (
     summarize,
     z_score,
 )
-from .sim import (
-    COPING,
-    DEFENSE,
-    FaultPlan,
-    NetModel,
-    ScenarioSpec,
-    SimOutcome,
-    default_sim_config,
-    inject_faults,
-    monte_carlo,
-    power_curve,
-    run_scenario,
-)
+
+# the simulator, and numpy with it, loads on first use of one of its names,
+# so the counter and the client start without either (PEP 562)
+_SIM_NAMES = frozenset({
+    "FaultPlan",
+    "NetModel",
+    "ScenarioSpec",
+    "SimOutcome",
+    "default_sim_config",
+    "inject_faults",
+    "monte_carlo",
+    "power_curve",
+    "run_scenario",
+})
+
+
+def __getattr__(name: str):
+    if name not in _SIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sim
+
+    return getattr(sim, name)
+
 
 __version__ = "0.1.0"
 

@@ -16,13 +16,16 @@ import select
 import signal
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import client as client_mod
 from . import counter as counter_mod
-from . import sim as sim_mod
 from . import stats
 from .protocol import ConfigError, ExperimentConfig, RoundRef, _parse_int, load_config
 from .timesync import SystemClock
+
+if TYPE_CHECKING:
+    from .sim import ScenarioSpec
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,20 +89,17 @@ def cmd_counter(args: argparse.Namespace) -> int:
     except counter_mod.CounterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    # installed before the listening line, so a signal sent on seeing it is
+    # handled; the handler only asks the serving loop to end, which works
+    # wherever in the loop the signal lands
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_args: service.stop())
     host, port = service.address
     print(f"counter listening on {host}:{port}, log {args.log}", flush=True)
-
-    def _interrupt(*_args) -> None:
-        # shutdown() blocks until serve_forever acknowledges, so it must not
-        # run on the serving thread; unwind via KeyboardInterrupt instead
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _interrupt)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    service.shutdown()
+    service.serve_forever()
+    if service.error is not None:
+        print(f"error: {service.error}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 
@@ -228,26 +228,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 # --- simulate / power ----------------------------------------------------------
+# only these commands import the simulator, which loads numpy, so the counter
+# and the client start without it
 
 
-def _scenario_from_args(args: argparse.Namespace) -> sim_mod.ScenarioSpec:
-    config = sim_mod.default_sim_config(
+def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    from . import sim
+
+    config = sim.default_sim_config(
         n_rounds=args.rounds,
         delta_tau_ms=args.delta_tau_ms,
         delta_t_ms=args.delta_t_ms,
         grace_ms=args.grace_ms,
     )
-    net = sim_mod.NetModel(
+    net = sim.NetModel(
         min_latency_ms=args.net_min_ms,
         max_latency_ms=args.net_max_ms,
         loss_prob=args.loss,
         asym_up_ms=args.asym_up_ms,
     )
-    return sim_mod.ScenarioSpec(
+    return sim.ScenarioSpec(
         m_clients=args.clients,
         p_participate=args.p,
         delta=getattr(args, "delta", 0.0),
-        scenario=getattr(args, "scenario", sim_mod.DEFENSE),
+        scenario=getattr(args, "scenario", sim.DEFENSE),
         seed=args.seed,
         config=config,
         net=net,
@@ -255,12 +259,14 @@ def _scenario_from_args(args: argparse.Namespace) -> sim_mod.ScenarioSpec:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sim
+
     try:
         spec = _scenario_from_args(args)
     except (ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    outcome = sim_mod.run_scenario(spec, alpha=args.alpha, capture_trace=args.trace_out is not None)
+    outcome = sim.run_scenario(spec, alpha=args.alpha, capture_trace=args.trace_out is not None)
     print("round\tcount")
     for i, count in enumerate(outcome.counts):
         print(f"CAL {i}\t{count}")
@@ -282,10 +288,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    from . import sim
+
     try:
         deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
         base = _scenario_from_args(args)
-        points = sim_mod.power_curve(base, deltas, args.runs, alpha=args.alpha)
+        points = sim.power_curve(base, deltas, args.runs, alpha=args.alpha)
     except (ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -305,7 +313,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, with_delta: bool = True
     if with_delta:
         parser.add_argument("--delta", type=float, default=0.0, help="execution-round suppression")
         parser.add_argument(
-            "--scenario", choices=[sim_mod.DEFENSE, sim_mod.COPING], default=sim_mod.DEFENSE
+            "--scenario", choices=[stats.DEFENSE, stats.COPING], default=stats.DEFENSE
         )
     parser.add_argument("--seed", type=_integer, default=1)
     parser.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)

@@ -48,6 +48,7 @@ from .timesync import Clock, SystemClock
 MAX_LINE_BYTES = 8192  # longest request line, without its "\n"
 READ_BYTES = 8192  # most bytes one read of a connection takes
 CLOSE_POLL_S = 0.2
+STOP_POLL_S = 0.1  # how long the serving loop may take to see a stop
 
 TAG_ACCEPT = "ACCEPT"
 TAG_REJECT = "REJECT"
@@ -194,13 +195,16 @@ class EventLog:
             self._synced = covered
 
     def close(self) -> None:
-        if self._stopped is None:
-            self.sync()
-        with self._sync_lock:
-            self._stopped = self._stopped or "the log is closed"
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
+        """Make every line durable, then close; the fd closes even if that fails."""
+        try:
+            if self._stopped is None:
+                self.sync()
+        finally:
+            with self._sync_lock:
+                self._stopped = self._stopped or "the log is closed"
+                if self._fd is not None:
+                    os.close(self._fd)
+                    self._fd = None
 
 
 class CounterCore:
@@ -441,8 +445,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 self._commit()
         except (BrokenPipeError, ConnectionResetError):
             return
-        except CounterError:
-            return  # the service stopped and closed its log: no answer
+        except CounterError as exc:
+            # the log stopped, or the service is stopping: no answer, and a
+            # log that stopped under a running service stops the service
+            self.service.stop(str(exc))
 
     def _request(self, raw: bytes) -> None:
         if len(raw) > MAX_LINE_BYTES:
@@ -483,13 +489,17 @@ class _Server(socketserver.ThreadingTCPServer):
     # only on a retransmission 0.2-1 s later, and that wait lands on the up
     # leg of each such client's first SYNC
     request_queue_size = socket.SOMAXCONN
+    timeout = STOP_POLL_S  # of one `handle_request`
 
 
 class CounterService:
     """TCP front end: serialized core access, lazy round closing, durable log.
 
-    With `until_complete` the service shuts itself down once every round is
-    closed, which keeps scripted runs and tests from hanging.
+    `stop` ends the service from any thread or a signal handler; the serving
+    loop then closes the socket and the log. A log that stops under the
+    service (a failed write or fsync) stops it too, with the reason kept in
+    `error`. With `until_complete` the service stops itself once every round
+    is closed, which keeps scripted runs and tests from hanging.
     """
 
     def __init__(
@@ -516,7 +526,12 @@ class CounterService:
         self._server = _Server(address, _LineHandler)
         self._server.service = self  # type: ignore[attr-defined]
         self._closer = threading.Thread(target=self._close_loop, daemon=True)
-        self._stopping = threading.Event()
+        self.error: str | None = None  # why the log stopped the service
+        # a plain flag, so a signal handler sets it without taking a lock
+        self._stop_requested = False
+        self._claimed = False  # whether the serving loop has run or been skipped
+        self._claim_lock = threading.Lock()
+        self._closed = threading.Event()  # the socket and the log are closed
 
     @property
     def address(self) -> tuple[str, int]:
@@ -526,6 +541,7 @@ class CounterService:
     def handle(self, line: str) -> str:
         arrival = self.clock.now_ms()
         with self._lock:
+            self._check_running()
             self.core.close_due(arrival)
             return self.core.handle_line(line, arrival, send_ms=self.clock.now_ms())
 
@@ -533,8 +549,14 @@ class CounterService:
         """Answer a request line longer than MAX_LINE_BYTES; only `head` is logged."""
         arrival = self.clock.now_ms()
         with self._lock:
+            self._check_running()
             self.core.close_due(arrival)
             return self.core._reject_malformed(head.decode("utf-8", "ignore"), arrival)
+
+    def _check_running(self) -> None:
+        # a stopping service answers nothing more, not even a sync exchange
+        if self._stop_requested:
+            raise CounterError(self.error or "the counter is stopping")
 
     def snapshot_distribution(self) -> tuple[list[int], int | None]:
         """Consistent read of the tallies, closing whatever is already due."""
@@ -543,26 +565,60 @@ class CounterService:
             return self.core.distribution()
 
     def _close_loop(self) -> None:
-        while not self._stopping.wait(CLOSE_POLL_S):
-            with self._lock:
-                self.core.close_due(self.clock.now_ms())
-                done = self.core.all_closed()
-            self.core.log.sync()
-            if done and self._until_complete:
-                self.shutdown()
-                return
+        try:
+            while not self._closed.wait(CLOSE_POLL_S):
+                with self._lock:
+                    self.core.close_due(self.clock.now_ms())
+                    done = self.core.all_closed()
+                self.core.log.sync()
+                if done and self._until_complete:
+                    self.stop()
+                    return
+        except CounterError as exc:
+            self.stop(str(exc))
+
+    def stop(self, error: str | None = None) -> None:
+        """Ask the service to stop and return at once; safe in a signal handler.
+
+        `error` says why the log stopped; it is kept only if no stop was asked
+        for before, so a request that finds the log closed by an orderly stop
+        records nothing.
+        """
+        if not self._stop_requested:
+            self.error = error
+        self._stop_requested = True
+
+    def _claim(self) -> bool:
+        """True for the first of `serve_forever` and `shutdown` to ask."""
+        with self._claim_lock:
+            first, self._claimed = not self._claimed, True
+            return first
 
     def serve_forever(self) -> None:
-        self._closer.start()
+        """Serve until `stop`, then close the socket and the log.
+
+        Returns at once if the service was shut down before it served.
+        """
+        if not self._claim():
+            return
         try:
-            self._server.serve_forever(poll_interval=0.1)
+            self._closer.start()
+            while not self._stop_requested:
+                self._server.handle_request()
         finally:
-            self._stopping.set()
+            self._close()
+
+    def _close(self) -> None:
+        try:
             self._server.server_close()
-            # connections still open are served on; under the lock, no request
-            # is logged after the final fsync, and later ones fail to log
+            # a connection still open gets no answer once a stop is asked for,
+            # and under the lock no request is logged after the final fsync
             with self._lock:
                 self.core.log.close()
+        except CounterError as exc:  # the final fsync failed
+            self.error = self.error or str(exc)
+        finally:
+            self._closed.set()
 
     def start_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -570,5 +626,8 @@ class CounterService:
         return thread
 
     def shutdown(self) -> None:
-        self._stopping.set()
-        self._server.shutdown()
+        """Stop and return once the socket and the log are closed."""
+        self.stop()
+        if self._claim():  # never served: nothing else will close them
+            self._close()
+        self._closed.wait()

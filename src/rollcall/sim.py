@@ -28,10 +28,8 @@ from . import stats
 from .client import ReportStep, UptimeRecord, certify_shutdown, report_step, sync_sample
 from .counter import CounterCore
 from .protocol import ExperimentConfig, Report, RoundRef, _check_nonce, derive_token, encode_message
+from .stats import COPING, DEFENSE
 from .timesync import ClockSyncError, SyncSample, best_estimate
-
-DEFENSE = "DEFENSE"
-COPING = "COPING"
 
 _NET_STREAM_TAG = 0x6E6574  # distinct substream domain for the network
 SHUTDOWN_SLACK_MS = 500  # simulated uptime records cover the shutdown window plus this each side

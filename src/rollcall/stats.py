@@ -22,7 +22,10 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-import numpy as np
+# the two scenarios the rule tells apart: participation unchanged (DEFENSE)
+# or suppressed in the execution round (COPING); the simulator draws them
+DEFENSE = "DEFENSE"
+COPING = "COPING"
 
 COPING_EVIDENCE = "COPING_EVIDENCE"
 NO_COPING_EVIDENCE = "NO_COPING_EVIDENCE"
@@ -67,6 +70,9 @@ def summarize(counts: Iterable[int] | Sequence[int]) -> CalibrationDistribution:
         raise ValueError("calibration counts must be non-negative")
     if not any(values):
         raise ValueError("all calibration counts are zero; nothing was measured")
+    # numpy loads here, not with the module, so the counter and client never load it
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     lo, hi = min(values), max(values)
     stable = lo > 0 and hi <= STABILITY_RATIO * lo

@@ -1,3 +1,4 @@
+import signal
 import socket
 import subprocess
 import sys
@@ -361,6 +362,68 @@ class TestLiveSubcommands:
         counts, n_star = log_distribution(read_log(log))
         assert counts == [1, 1]
         assert n_star == 1
+
+
+def spawn_counter(conf, log, python_code=None):
+    """A `rollcall counter` process on a free port, once it has said it listens."""
+    args = ["counter", "--listen", "127.0.0.1:0", "--config", str(conf), "--log", str(log),
+            "--no-fsync"]
+    if python_code is None:
+        cmd = [sys.executable, "-m", "rollcall.cli", *args]
+    else:
+        cmd = [sys.executable, "-c", python_code, *args]
+    counter = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    line = counter.stdout.readline()
+    assert "listening" in line
+    return counter, int(line.split()[3].rstrip(",").rpartition(":")[2])
+
+
+class TestCounterStops:
+    def test_sigterm_right_after_listening(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(format_config(make_config()))
+        for attempt in range(10):
+            counter, _port = spawn_counter(conf, tmp_path / f"counter-{attempt}.log")
+            with counter:
+                try:
+                    counter.send_signal(signal.SIGTERM)
+                    assert counter.wait(timeout=5) == EXIT_OK, f"attempt {attempt}"
+                finally:
+                    if counter.poll() is None:
+                        counter.kill()
+
+    def test_a_stopped_log_ends_the_counter_with_its_reason(self, tmp_path):
+        now = int(time.time() * 1000)
+        # round 0's report window is open right now
+        config = make_config(epoch_ms=now - 11_000, delta_t_ms=100_000, delta_tau_ms=10_000,
+                             grace_ms=60_000)
+        conf = tmp_path / "exp.conf"
+        conf.write_text(format_config(config))
+        log = tmp_path / "counter.log"
+        # files of the counter process may not grow past 20 bytes: its first
+        # logged line fails to append (the ignored SIGXFSZ is Python's default)
+        limited = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (20, hard))\n"
+            "from rollcall.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        counter, port = spawn_counter(conf, log, limited)
+        with counter:
+            try:
+                token = derive_token(config.secret, RoundRef.cal(0))
+                with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                    sock.sendall(f"REPORT CAL 0 nonce-001 {token}\n".encode())
+                    assert sock.makefile("rb").read() == b""
+                assert counter.wait(timeout=5) == EXIT_ERROR
+                assert counter.stderr.read().startswith(
+                    "error: the log stopped after a failed append:"
+                )
+            finally:
+                if counter.poll() is None:
+                    counter.kill()
+        assert log.read_bytes() == b""
 
 
 class TestParsing:

@@ -763,6 +763,89 @@ class TestService:
         assert [e.tag for e in read_log(tmp_path / "svc.log")] == ["ACCEPT"]
 
 
+class TestStopping:
+    """The service stops wherever a stop lands, and a log that stops under it
+    stops it too."""
+
+    @staticmethod
+    def _finishes(fn, timeout_s):
+        thread = threading.Thread(target=fn, daemon=True)
+        thread.start()
+        thread.join(timeout=timeout_s)
+        return not thread.is_alive()
+
+    def test_shutdown_of_a_service_that_never_served(self, tmp_path):
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log",
+                                 fsync=False)
+        assert self._finishes(service.shutdown, 1)
+        with pytest.raises(CounterError, match="closed"):
+            service.core.log.append(0, "CLOSE", "CAL 0")
+        assert self._finishes(service.serve_forever, 1)
+
+    def test_interrupt_while_the_closer_starts_still_closes_the_log(self, tmp_path,
+                                                                    monkeypatch):
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log",
+                                 fsync=False)
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(service._closer, "start", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            service.serve_forever()
+        with pytest.raises(CounterError, match="closed"):
+            service.core.log.append(0, "CLOSE", "CAL 0")
+        assert self._finishes(service.shutdown, 1)
+
+    @pytest.mark.parametrize("failing, call", [
+        ("report", "write"),  # the handler's append
+        ("report", "fsync"),  # the handler's commit (or the closer's sync)
+        ("close", "write"),  # the closer's CLOSE of round 0
+    ])
+    def test_a_stopped_log_stops_the_service(self, tmp_path, monkeypatch, failing, call):
+        config = make_config()
+        r0 = RoundRef.cal(0)
+        clock = FakeClock(config.window_open(r0))
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log",
+                                 fsync=call == "fsync", clock=clock)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        real_call = getattr(os, call)
+
+        def fail_once(*_args):
+            monkeypatch.setattr(os, call, real_call)
+            raise OSError(errno.EIO, "injected")
+
+        thread = service.start_background()
+        try:
+            with socket.create_connection(service.address, timeout=5) as watcher, \
+                    socket.create_connection(service.address, timeout=5) as sock:
+                readers = [watcher.makefile("rb"), sock.makefile("rb")]
+                for conn, reader in zip((watcher, sock), readers):
+                    conn.sendall(b"SYNC 1\n")
+                    assert reader.readline().startswith(b"SYNCR 1 ")
+                monkeypatch.setattr(os, call, fail_once)
+                if failing == "report":
+                    token = derive_token(config.secret, r0)
+                    sock.sendall(f"REPORT CAL 0 nonce-001 {token}\n".encode())
+                    assert readers[1].read() == b""
+                clock.t = config.window_close(r0) + 1
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+                # the open connection gets no answer, not even to a sync exchange
+                watcher.sendall(b"SYNC 5\n")
+                assert readers[0].read() == b""
+        finally:
+            service.shutdown()
+        service._closer.join(timeout=5)
+        assert not service._closer.is_alive()
+        assert "injected" in service.error
+        assert hooked == []
+        # an event is logged before it is answered; an unanswered one may be logged
+        logged = [e.tag for e in read_log(tmp_path / "svc.log")]
+        assert logged == (["ACCEPT"] if call == "fsync" else [])
+
+
 class TestGroupCommit:
     """With fsync on, answers wait for an fsync that covers their events."""
 

@@ -1,0 +1,51 @@
+"""The package loads the simulator, and numpy with it, only when it is used."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rollcall
+from rollcall import protocol, sim, stats
+
+SRC = Path(rollcall.__file__).resolve().parents[1]
+
+
+def test_counter_and_client_start_without_numpy():
+    code = (
+        "import sys\n"
+        "import rollcall, rollcall.cli, rollcall.counter, rollcall.client, rollcall.timesync\n"
+        "rollcall.cli.build_parser()\n"
+        "print(' '.join(m for m in ('numpy', 'rollcall.sim') if m in sys.modules))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == ""
+
+
+def test_every_public_name_is_its_module_object():
+    for name in rollcall.__all__:
+        if name == "__version__":
+            continue
+        owner = next(m for m in (protocol, stats, sim) if name in vars(m))
+        assert getattr(rollcall, name) is vars(owner)[name], name
+    assert rollcall.run_scenario is sim.run_scenario
+    assert rollcall.DEFENSE is sim.DEFENSE and rollcall.COPING is sim.COPING
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from rollcall import *", namespace)
+    assert set(rollcall.__all__) <= namespace.keys()
+    assert namespace["monte_carlo"] is sim.monte_carlo
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rollcall.no_such_name
+    with pytest.raises(ImportError):
+        exec("from rollcall import no_such_name", {})
