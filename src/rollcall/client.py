@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
 from .protocol import (
+    MAX_LINE_BYTES,
     Ack,
     ExperimentConfig,
     MalformedLine,
@@ -69,7 +70,8 @@ class TcpTransport:
     The connection is opened when the transport is built, and again right
     after a request fails on it, so connection setup never lands inside a
     timed exchange such as a SYNC. If connecting fails, the next request
-    connects again and reports the failure.
+    connects again and reports the failure. An answer is a line of at most
+    MAX_LINE_BYTES bytes ended by "\\n"; anything else fails the request.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -96,9 +98,12 @@ class TcpTransport:
                 self._connect()
             assert self._sock is not None and self._rfile is not None
             self._sock.sendall(line.encode("utf-8") + b"\n")
-            raw = self._rfile.readline()
-            if not raw:
-                raise ConnectionError("counter closed the connection")
+            raw = self._rfile.readline(MAX_LINE_BYTES + 1)
+            if not raw.endswith(b"\n"):
+                raise ConnectionError(
+                    f"answer line longer than {MAX_LINE_BYTES} bytes"
+                    if len(raw) > MAX_LINE_BYTES else "counter closed the connection"
+                )
             return raw.decode("utf-8").rstrip("\r\n")
         except (OSError, ConnectionError) as exc:
             connected = self._sock is not None

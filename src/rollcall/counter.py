@@ -12,7 +12,8 @@ replaying the log always reconstructs the exact state:
 
 An answer goes out only after an fsync that covers its event; requests
 logged while an fsync is due share it (group commit). Sync exchanges are
-answered at once and not logged; they carry no tally state.
+answered at once and not logged; they carry no tally state. Over TCP,
+`CounterService.handle` is the one entry for a request line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .protocol import (
+    MAX_LINE_BYTES,
     REJECT_REASONS,
     Ack,
     ExperimentConfig,
@@ -45,10 +47,8 @@ from .protocol import (
 )
 from .timesync import Clock, SystemClock
 
-MAX_LINE_BYTES = 8192  # longest request line, without its "\n"
 READ_BYTES = 8192  # most bytes one read of a connection takes
-CLOSE_POLL_S = 0.2
-STOP_POLL_S = 0.1  # how long the serving loop may take to see a stop
+STOP_POLL_S = 0.1  # how long the serving loop may take to see a stop or a due round
 
 TAG_ACCEPT = "ACCEPT"
 TAG_REJECT = "REJECT"
@@ -412,17 +412,18 @@ def log_distribution(events: Iterable[LogEvent]) -> tuple[list[int], int]:
 class _LineHandler(socketserver.StreamRequestHandler):
     """Frames request lines and answers them in batches (group commit).
 
-    Each read takes what the connection has ready. Its complete lines are
-    handled in order; then one `EventLog.sync` covers the events they
-    logged, and one write sends their answers. A SYNC is answered on its
-    own: the answers ahead of it are committed first, and its SYNCR, which
-    logs nothing, goes out at once without waiting for any fsync.
+    Each read takes what the connection has ready. Its complete lines go to
+    `CounterService.handle` in order; an over-long line goes once, as soon as
+    it is known to be over-long, and its rest is skipped. Then one
+    `EventLog.sync` covers the events they logged, and one write sends their
+    answers. A SYNC is answered on its own: the answers ahead of it are
+    committed first, and its SYNCR, which logs nothing, is written as soon as
+    it is made, without waiting for any fsync.
     """
 
     def handle(self) -> None:
         self.service: CounterService = self.server.service  # type: ignore[attr-defined]
-        self.answers: list[bytes] = []
-        self.logged = False  # whether a pending answer's request was logged
+        self.answers: list[bytes] = []  # each answers a logged request
         pending = b""  # a line whose "\n" has not arrived yet
         skipping = False  # inside an over-long line, discarding up to its "\n"
         try:
@@ -451,34 +452,20 @@ class _LineHandler(socketserver.StreamRequestHandler):
             self.service.stop(str(exc))
 
     def _request(self, raw: bytes) -> None:
-        if len(raw) > MAX_LINE_BYTES:
-            # one answer per line: the rest is skipped, and a prefix never decoded
-            self._answer(self.service.reject_overlong(raw[:MAX_LINE_BYTES]))
-            return
-        try:
-            line = raw.decode("utf-8").rstrip("\r")
-        except UnicodeDecodeError:
-            line = ""
-        sync = line.startswith("SYNC")
-        if sync:
+        if raw.startswith(b"SYNC"):  # stamp a sync only once the answers ahead are sent
             self._commit()
-        self._answer(self.service.handle(line))
-        if sync:
-            self._commit()
-
-    def _answer(self, response: str) -> None:
-        self.answers.append(response.encode("utf-8") + b"\n")
-        # every request but a sync exchange is logged
-        self.logged = self.logged or not response.startswith("SYNCR ")
+        answer = self.service.handle(raw).encode("utf-8") + b"\n"
+        if answer.startswith(b"SYNCR "):
+            self.wfile.write(answer)
+        else:
+            self.answers.append(answer)
 
     def _commit(self) -> None:
         """Make the pending answers' events durable, then send the answers."""
-        if not self.answers:
-            return
-        if self.logged:
+        if self.answers:
             self.service.core.log.sync()
-        self.wfile.write(b"".join(self.answers))
-        self.answers, self.logged = [], False
+            self.wfile.write(b"".join(self.answers))
+            self.answers = []
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -493,7 +480,11 @@ class _Server(socketserver.ThreadingTCPServer):
 
 
 class CounterService:
-    """TCP front end: serialized core access, lazy round closing, durable log.
+    """TCP front end: one entry per request line, durable log, rounds closed on time.
+
+    `handle` answers a request line under the service lock, on the thread
+    that serves its connection. Between accepts, at least every STOP_POLL_S,
+    the serving loop closes the rounds that are due and fsyncs their CLOSEs.
 
     `stop` ends the service from any thread or a signal handler; the serving
     loop then closes the socket and the log. A log that stops under the
@@ -525,7 +516,6 @@ class CounterService:
             self.core = CounterCore(config)
         self._server = _Server(address, _LineHandler)
         self._server.service = self  # type: ignore[attr-defined]
-        self._closer = threading.Thread(target=self._close_loop, daemon=True)
         self.error: str | None = None  # why the log stopped the service
         # a plain flag, so a signal handler sets it without taking a lock
         self._stop_requested = False
@@ -538,25 +528,32 @@ class CounterService:
         host, port = self._server.server_address[:2]
         return str(host), int(port)
 
-    def handle(self, line: str) -> str:
+    def handle(self, raw: bytes) -> str:
+        """Answer one request line, given without its "\\n".
+
+        Every byte-level rule of a request line is here: a line longer than
+        MAX_LINE_BYTES is malformed and never decoded, and the REJECT logs its
+        first MAX_LINE_BYTES bytes, dropping a character they cut; a line that
+        is not UTF-8 is malformed and logged as empty text; a trailing "\\r"
+        is dropped.
+        """
         arrival = self.clock.now_ms()
+        overlong = len(raw) > MAX_LINE_BYTES
+        if overlong:
+            line = raw[:MAX_LINE_BYTES].decode("utf-8", "ignore")
+        else:
+            try:
+                line = raw.decode("utf-8").rstrip("\r")
+            except UnicodeDecodeError:
+                line = ""
         with self._lock:
-            self._check_running()
+            # a stopping service answers nothing more, not even a sync exchange
+            if self._stop_requested:
+                raise CounterError(self.error or "the counter is stopping")
             self.core.close_due(arrival)
+            if overlong:  # one answer per line, and a prefix is never decoded
+                return self.core._reject_malformed(line, arrival)
             return self.core.handle_line(line, arrival, send_ms=self.clock.now_ms())
-
-    def reject_overlong(self, head: bytes) -> str:
-        """Answer a request line longer than MAX_LINE_BYTES; only `head` is logged."""
-        arrival = self.clock.now_ms()
-        with self._lock:
-            self._check_running()
-            self.core.close_due(arrival)
-            return self.core._reject_malformed(head.decode("utf-8", "ignore"), arrival)
-
-    def _check_running(self) -> None:
-        # a stopping service answers nothing more, not even a sync exchange
-        if self._stop_requested:
-            raise CounterError(self.error or "the counter is stopping")
 
     def snapshot_distribution(self) -> tuple[list[int], int | None]:
         """Consistent read of the tallies, closing whatever is already due."""
@@ -564,18 +561,19 @@ class CounterService:
             self.core.close_due(self.clock.now_ms())
             return self.core.distribution()
 
-    def _close_loop(self) -> None:
+    def _close_due(self) -> None:
+        """Close and fsync the rounds that are due; stop once all are, if asked to."""
         try:
-            while not self._closed.wait(CLOSE_POLL_S):
-                with self._lock:
-                    self.core.close_due(self.clock.now_ms())
-                    done = self.core.all_closed()
+            with self._lock:
+                closed = self.core.close_due(self.clock.now_ms())
+                done = self.core.all_closed()
+            if closed:
                 self.core.log.sync()
-                if done and self._until_complete:
-                    self.stop()
-                    return
         except CounterError as exc:
             self.stop(str(exc))
+            return
+        if done and self._until_complete:
+            self.stop()
 
     def stop(self, error: str | None = None) -> None:
         """Ask the service to stop and return at once; safe in a signal handler.
@@ -602,9 +600,9 @@ class CounterService:
         if not self._claim():
             return
         try:
-            self._closer.start()
             while not self._stop_requested:
                 self._server.handle_request()
+                self._close_due()
         finally:
             self._close()
 

@@ -26,6 +26,7 @@ REJECT_REASONS = frozenset({"BADTOKEN", "EARLY", "LATE", "DUP", "BADROUND", "MAL
 SURVEY_CODES = frozenset({"FORGOT", "OBSTACLE", "CHANGED_MIND", "INTERFERENCE", "OTHER"})
 
 TOKEN_HEX_LEN = 32
+MAX_LINE_BYTES = 8192  # longest line either side sends, without its "\n"
 
 # every pattern is applied with fullmatch: `$` would also match before a final "\n"
 _UINT = r"(?:0|[1-9][0-9]*)"

@@ -1,4 +1,6 @@
 import socket
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,7 @@ from rollcall.client import (
     uptime_from_file,
 )
 from rollcall.counter import CounterCore, CounterService
-from rollcall.protocol import RoundRef
+from rollcall.protocol import MAX_LINE_BYTES, RoundRef
 from rollcall.timesync import ClockSyncError
 
 from conftest import FakeClock, LoopbackTransport, make_config
@@ -128,6 +130,77 @@ class TestFileSources:
     def test_uptime_bad_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_uptime_text("SIDEWAYS 100\n")
+
+
+class TestTcpAnswerLines:
+    """An answer is one line of at most MAX_LINE_BYTES bytes; anything else
+    fails the request, and the transport connects again as after any failure."""
+
+    @staticmethod
+    def _peer(reply, hold_open, connections=2):
+        """A local server that sends `reply` to the first request on the first
+        connection, closing that connection unless `hold_open`; returns the
+        server's address, the connections it accepts, and its thread."""
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(5)
+        accepted = []
+
+        def serve():
+            with server:
+                for _ in range(connections):
+                    conn, _ = server.accept()
+                    accepted.append(conn)
+                    if len(accepted) == 1:
+                        conn.recv(64)
+                        try:
+                            conn.sendall(reply)
+                        except OSError:  # the client hung up without reading it all
+                            pass
+                        if not hold_open:
+                            conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return server.getsockname(), accepted, thread
+
+    def _fails_then_reconnects(self, reply, hold_open):
+        # the failing connection, then the one the transport opens again
+        address, accepted, thread = self._peer(reply, hold_open)
+        transport = TcpTransport(*address)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TransportError):
+                transport.request("SYNC 1")
+            elapsed = time.monotonic() - started
+            thread.join(timeout=5)
+            assert len(accepted) == 2 and transport._sock is not None
+        finally:
+            transport.close()
+            for conn in accepted:
+                conn.close()
+        return elapsed
+
+    def test_answer_without_a_newline_is_bounded(self):
+        # the client reads MAX_LINE_BYTES + 1 bytes and gives up, without
+        # waiting for the peer or for its request timeout
+        elapsed = self._fails_then_reconnects(b"A" * (1 << 20), hold_open=True)
+        assert elapsed < client_mod.REQUEST_TIMEOUT_S / 5
+
+    def test_answer_cut_short_by_the_peer_closing(self):
+        self._fails_then_reconnects(b"ACK CAL 0", hold_open=False)
+
+    def test_answer_of_max_length(self):
+        answer = b"A" * MAX_LINE_BYTES
+        address, accepted, thread = self._peer(answer + b"\n", hold_open=True, connections=1)
+        transport = TcpTransport(*address)
+        try:
+            assert transport.request("SYNC 1") == answer.decode()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            transport.close()
+            for conn in accepted:
+                conn.close()
 
 
 class TestSyncAndSurvey:

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -548,6 +549,109 @@ class TestFailStopLog:
         self._assert_restarts_replay(config, path, {"nonce-001", "nonce-003"})
 
 
+def _state(core):
+    """Everything replay rebuilds: the dedupe set, the tallies and the surveys."""
+    return core.seen, {r: (t.count, t.closed) for r, t in core.tallies.items()}, core.surveys
+
+
+# a program for the durable-log model: requests, fsyncs, crashes and restarts
+LOG_STEPS = st.lists(
+    st.one_of(
+        st.just(("valid",)),
+        st.integers(0, 1 << 16).map(lambda i: ("resend", i)),
+        st.sampled_from(["", "garbage", "REPORT CAL 0 x", "SYNC 1\r", "SYNCR 1 2 3"]
+                        + [f"REPORT CAL 0 {p}" for p in HOSTILE_PAYLOADS]).map(
+            lambda line: ("hostile", line)),
+        st.just(("overlong",)),
+        st.just(("sync",)),
+        # keep this many of the bytes written since the last fsync, then a NUL tail
+        st.tuples(st.just("crash"), st.integers(0, 1 << 16), st.integers(0, 64)),
+        st.just(("restart",)),
+    ),
+    max_size=40,
+)
+
+
+class TestDurableLogModel:
+    """A model of the durable log run against the file log in-process.
+
+    An answer is delivered only at an fsync that covers its event, as the
+    service delivers it. A crash keeps any prefix of the file at or beyond
+    the size the last fsync covered, then maybe a tail of NULs. After every
+    restart: the restart does not raise, every delivered ACK or DUP names a
+    (round, nonce) pair replay counts, a second replay rebuilds the same
+    state, and a clean restart rebuilds exactly the state before it.
+    """
+
+    @settings(deadline=None, max_examples=600)
+    @given(LOG_STEPS)
+    def test_acked_reports_survive_crashes_and_restarts(self, steps):
+        config = make_config()
+        r0 = RoundRef.cal(0)
+        at = config.window_open(r0)
+        token = derive_token(config.secret, r0)
+        overlong = f"REPORT CAL 0 {'x' * MAX_LINE_BYTES} {token}"
+        sent: list[str] = []  # every valid report, in order
+        acked: set[tuple[RoundRef, str]] = set()  # pairs whose answer was delivered
+        pending: list[tuple[RoundRef, str]] = []  # ... and those still waiting for an fsync
+        with tempfile.TemporaryDirectory() as tmp, \
+                unittest.mock.patch.object(os, "fsync", lambda fd: None):
+            path = Path(tmp) / "counter.log"
+            core = replay_log_file(config, path)
+            durable, appended = 0, False
+
+            def restart():
+                nonlocal core
+                core = replay_log_file(config, path)
+                assert acked <= core.seen
+                assert _state(replay_events(config, read_log(path))) == _state(core)
+
+            for step in steps:
+                if step[0] in ("valid", "resend"):
+                    if step[0] == "valid":
+                        sent.append(f"REPORT CAL 0 nonce-{len(sent):04d} {token}")
+                        line = sent[-1]
+                    elif not sent:
+                        continue
+                    else:
+                        line = sent[step[1] % len(sent)]
+                    key = (r0, line.split(" ")[3])
+                    known = key in core.seen
+                    assert core.handle_line(line, at) == ("REJ DUP" if known else "ACK CAL 0")
+                    assert known or key not in acked
+                    pending.append(key)  # a delivered DUP counts as reported too
+                    appended = True
+                elif step[0] in ("hostile", "overlong"):
+                    line = step[1] if step[0] == "hostile" else overlong
+                    assert core.handle_line(line, at).startswith("REJ ")
+                    appended = True
+                elif step[0] == "sync":
+                    core.log.sync()
+                    if appended:  # an fsync covers the whole file
+                        durable, appended = path.stat().st_size, False
+                    acked.update(pending)
+                    pending.clear()
+                elif step[0] == "crash":
+                    core.log.close()  # with fsync a no-op, this leaves the file as is
+                    size = path.stat().st_size
+                    with open(path, "r+b") as fh:
+                        fh.truncate(durable + step[1] % (size - durable + 1))
+                        fh.seek(0, os.SEEK_END)
+                        fh.write(b"\0" * step[2])
+                    pending.clear()
+                    appended = False
+                    restart()
+                else:  # a clean restart: the final fsync, and no answer after it
+                    before = _state(core)
+                    core.log.close()
+                    if appended:
+                        durable, appended = path.stat().st_size, False
+                    pending.clear()
+                    restart()
+                    assert _state(core) == before
+            core.log.close()
+
+
 class TestService:
     def _exchange(self, address, lines):
         with socket.create_connection(address, timeout=5) as sock:
@@ -637,6 +741,34 @@ class TestService:
         assert [e.tag for e in events] == ["REJECT", "ACCEPT"]
         assert events[0].raw == "X" * MAX_LINE_BYTES
         assert "honest-1" in events[1].raw
+
+    def test_line_that_is_not_utf8(self, tmp_path):
+        config = make_config()
+        clock = FakeClock(config.window_open(RoundRef.cal(0)))
+        log_path = tmp_path / "svc.log"
+        service = CounterService(config, ("127.0.0.1", 0), log_path, fsync=False,
+                                 clock=clock, until_complete=True)
+        thread = service.start_background()
+        token = derive_token(config.secret, RoundRef.cal(0))
+        try:
+            answers, extra = self._answers(
+                service,
+                f"REPORT CAL 0 bad-\xff {token}\n".encode("latin-1")
+                + f"REPORT CAL 0 honest-1 {token}\n".encode(),
+                2,
+            )
+            clock.t = config.window_close(RoundRef.exe()) + 1
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            service.shutdown()
+        assert answers == ["REJ MALFORMED", "ACK CAL 0"]
+        assert extra == b""
+        # the REJECT holds empty text: the line's bytes are not logged
+        arrival = config.window_open(RoundRef.cal(0))
+        assert log_path.read_bytes().startswith(f"{arrival} REJECT \n".encode())
+        assert [e.tag for e in read_log(log_path)] == ["REJECT", "ACCEPT"] + ["CLOSE"] * 4
+        assert interpretations(config, log_path) == (([1, 0, 0], 0), ([1, 0, 0], 0))
 
     @staticmethod
     def _longest_survey():
@@ -763,6 +895,16 @@ class TestService:
         assert [e.tag for e in read_log(tmp_path / "svc.log")] == ["ACCEPT"]
 
 
+def _threads_end(before, timeout_s=5):
+    """Whether every thread started since `before` was taken ends in time."""
+    deadline = time.monotonic() + timeout_s
+    while set(threading.enumerate()) - before:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 class TestStopping:
     """The service stops wherever a stop lands, and a log that stops under it
     stops it too."""
@@ -782,15 +924,26 @@ class TestStopping:
             service.core.log.append(0, "CLOSE", "CAL 0")
         assert self._finishes(service.serve_forever, 1)
 
-    def test_interrupt_while_the_closer_starts_still_closes_the_log(self, tmp_path,
-                                                                    monkeypatch):
+    def test_an_idle_service_runs_one_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log",
+                                 fsync=False)
+        thread = service.start_background()
+        try:
+            time.sleep(0.3)  # a few passes of the serving loop
+            assert set(threading.enumerate()) - before == {thread}
+        finally:
+            service.shutdown()
+        assert _threads_end(before)
+
+    def test_interrupt_in_the_serving_loop_still_closes_the_log(self, tmp_path, monkeypatch):
         service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log",
                                  fsync=False)
 
         def interrupted():
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(service._closer, "start", interrupted)
+        monkeypatch.setattr(service, "_close_due", interrupted)
         with pytest.raises(KeyboardInterrupt):
             service.serve_forever()
         with pytest.raises(CounterError, match="closed"):
@@ -799,8 +952,8 @@ class TestStopping:
 
     @pytest.mark.parametrize("failing, call", [
         ("report", "write"),  # the handler's append
-        ("report", "fsync"),  # the handler's commit (or the closer's sync)
-        ("close", "write"),  # the closer's CLOSE of round 0
+        ("report", "fsync"),  # the handler's commit (or the serving loop's sync)
+        ("close", "write"),  # the serving loop's CLOSE of round 0
     ])
     def test_a_stopped_log_stops_the_service(self, tmp_path, monkeypatch, failing, call):
         config = make_config()
@@ -811,6 +964,7 @@ class TestStopping:
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         real_call = getattr(os, call)
+        before = set(threading.enumerate())
 
         def fail_once(*_args):
             monkeypatch.setattr(os, call, real_call)
@@ -835,10 +989,11 @@ class TestStopping:
                 # the open connection gets no answer, not even to a sync exchange
                 watcher.sendall(b"SYNC 5\n")
                 assert readers[0].read() == b""
+                for reader in readers:  # so the sockets really close
+                    reader.close()
         finally:
             service.shutdown()
-        service._closer.join(timeout=5)
-        assert not service._closer.is_alive()
+        assert _threads_end(before)
         assert "injected" in service.error
         assert hooked == []
         # an event is logged before it is answered; an unanswered one may be logged
@@ -932,24 +1087,37 @@ class TestGroupCommit:
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
         config, clock, service = self._service(tmp_path)
-        seen: dict[str, tuple[str, int]] = {}  # nonce -> (answer, durable size when read)
+        # per connection: (key, expected answer, request line, its logged text)
+        requests = {prefix: [(nonce, expected, line.encode(), line)
+                             for nonce, expected, line in self._burst(config, prefix, 60)]
+                    for prefix in ("conn-a", "conn-b")}
+        # lines that are logged as REJECTs, each answered only once that is durable
+        hostile = [
+            ("syncr", "REJ MALFORMED", b"SYNCR 1 2 3", "SYNCR 1 2 3"),
+            ("not-utf8", "REJ MALFORMED", b"SYNC 1\xff", ""),
+            ("overlong", "REJ MALFORMED", b"SYNC " + b"1" * MAX_LINE_BYTES,
+             "SYNC " + "1" * (MAX_LINE_BYTES - 5)),
+        ]
+        for at, request in zip((10, 30, 50), hostile):
+            requests["conn-a"].insert(at, request)
+        seen: dict[str, tuple[str, int]] = {}  # key -> (answer, durable size when read)
 
         def client(prefix):
-            burst = self._burst(config, prefix, 60)
+            burst = requests[prefix]
             with socket.create_connection(service.address, timeout=5) as sock:
-                sock.sendall("".join(line + "\n" for _, _, line in burst).encode())
+                sock.sendall(b"".join(line + b"\n" for _, _, line, _ in burst))
                 reader = sock.makefile("rb")
-                for nonce, _, _ in burst:
+                for key, _, _, _ in burst:
                     answer = reader.readline().decode().rstrip("\n")
-                    seen[nonce] = (answer, durable["size"])
+                    seen[key] = (answer, durable["size"])
 
         try:
-            threads = [threading.Thread(target=client, args=(p,)) for p in ("conn-a", "conn-b")]
+            threads = [threading.Thread(target=client, args=(p,)) for p in requests]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-            # the close loop closes CAL 0 once its window has passed
+            # the serving loop closes CAL 0 once its window has passed
             clock.t = config.window_close(RoundRef.cal(0)) + 1
             close_line = f"{clock.t} CLOSE CAL 0"
             deadline = time.monotonic() + 5
@@ -963,16 +1131,16 @@ class TestGroupCommit:
             service.shutdown()
 
         ends = self._line_ends(tmp_path / "svc.log")
-        by_nonce = {line.split(" ")[5]: end for line, end in ends.items()
-                    if line.split(" ")[1] in ("ACCEPT", "REJECT")}
-        assert len(seen) == len(by_nonce) == 120
-        for prefix in ("conn-a", "conn-b"):
-            for nonce, expected, _ in self._burst(config, prefix, 60):
-                answer, durable_size = seen[nonce]
+        by_text = {line.split(" ", 2)[2]: end for line, end in ends.items()
+                   if line.split(" ")[1] in ("ACCEPT", "REJECT")}
+        assert len(seen) == len(by_text) == 123
+        for burst in requests.values():
+            for key, expected, _, logged in burst:
+                answer, durable_size = seen[key]
                 assert answer == expected
-                assert by_nonce[nonce] <= durable_size, f"{nonce} answered before its fsync"
+                assert by_text[logged] <= durable_size, f"{key} answered before its fsync"
         assert durable["calls"] < 120
-        assert ends[close_line] <= closed_durable, "the close loop's CLOSE was not fsynced"
+        assert ends[close_line] <= closed_durable, "the serving loop's CLOSE was not fsynced"
 
     def test_sync_never_waits_for_an_fsync(self, tmp_path, monkeypatch):
         in_fsync = threading.Event()
