@@ -70,8 +70,8 @@ class TcpTransport:
     The connection is opened when the transport is built, and again right
     after a request fails on it, so connection setup never lands inside a
     timed exchange such as a SYNC. If connecting fails, the next request
-    connects again and reports the failure. An answer is a line of at most
-    MAX_LINE_BYTES bytes ended by "\\n"; anything else fails the request.
+    connects again and reports the failure. An answer is a UTF-8 line of at
+    most MAX_LINE_BYTES bytes ended by "\\n"; anything else fails the request.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -105,7 +105,7 @@ class TcpTransport:
                     if len(raw) > MAX_LINE_BYTES else "counter closed the connection"
                 )
             return raw.decode("utf-8").rstrip("\r\n")
-        except (OSError, ConnectionError) as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             connected = self._sock is not None
             self.close()
             if connected:

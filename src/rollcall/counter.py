@@ -13,7 +13,8 @@ replaying the log always reconstructs the exact state:
 An answer goes out only after an fsync that covers its event; requests
 logged while an fsync is due share it (group commit). Sync exchanges are
 answered at once and not logged; they carry no tally state. Over TCP,
-`CounterService.handle` is the one entry for a request line.
+`CounterService.handle` is the one entry for a request line, and a round
+closes only through `CounterCore.close_due`, which the serving loop calls.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class CounterError(RuntimeError):
 
 @dataclass
 class RoundTally:
-    """Per-round result; immutable once closed."""
+    """Per-round result; `CounterCore.close_due` closes it, and then it is frozen."""
 
     round: RoundRef
     count: int
@@ -275,27 +276,17 @@ class CounterCore:
 
     # -- round lifecycle --------------------------------------------------
 
-    def close_round(self, round: RoundRef, now_ms: int) -> RoundTally:
-        tally = self.tallies.get(round)
-        if tally is None:
-            raise CounterError(f"no such round: {round}")
-        if tally.closed:
-            return tally
-        if now_ms <= tally.window_close_ms:
-            raise CounterError(
-                f"round {round.wire()} window is open until {tally.window_close_ms}"
-            )
-        self.log.append(now_ms, TAG_CLOSE, round.wire())
-        tally.closed = True
-        return tally
-
     def close_due(self, now_ms: int) -> list[RoundTally]:
-        """Close every round whose acceptance window has passed."""
-        return [
-            self.close_round(t.round, now_ms)
-            for t in self.tallies.values()
-            if not t.closed and now_ms > t.window_close_ms
-        ]
+        """Close every open round whose acceptance window has passed.
+
+        The one way a round closes. Each CLOSE is logged before its tally is
+        marked closed, so a failed append leaves memory matching the log.
+        """
+        due = [t for t in self.tallies.values() if not t.closed and now_ms > t.window_close_ms]
+        for tally in due:
+            self.log.append(now_ms, TAG_CLOSE, tally.round.wire())
+            tally.closed = True
+        return due
 
     def all_closed(self) -> bool:
         return all(t.closed for t in self.tallies.values())
@@ -483,8 +474,9 @@ class CounterService:
     """TCP front end: one entry per request line, durable log, rounds closed on time.
 
     `handle` answers a request line under the service lock, on the thread
-    that serves its connection. Between accepts, at least every STOP_POLL_S,
-    the serving loop closes the rounds that are due and fsyncs their CLOSEs.
+    that serves its connection; it never closes a round. Between accepts, at
+    least every STOP_POLL_S, the serving loop closes the rounds that are due
+    and fsyncs their CLOSEs: it is the only service code that closes one.
 
     `stop` ends the service from any thread or a signal handler; the serving
     loop then closes the socket and the log. A log that stops under the
@@ -550,16 +542,9 @@ class CounterService:
             # a stopping service answers nothing more, not even a sync exchange
             if self._stop_requested:
                 raise CounterError(self.error or "the counter is stopping")
-            self.core.close_due(arrival)
             if overlong:  # one answer per line, and a prefix is never decoded
                 return self.core._reject_malformed(line, arrival)
             return self.core.handle_line(line, arrival, send_ms=self.clock.now_ms())
-
-    def snapshot_distribution(self) -> tuple[list[int], int | None]:
-        """Consistent read of the tallies, closing whatever is already due."""
-        with self._lock:
-            self.core.close_due(self.clock.now_ms())
-            return self.core.distribution()
 
     def _close_due(self) -> None:
         """Close and fsync the rounds that are due; stop once all are, if asked to."""

@@ -466,9 +466,11 @@ class Simulation:
         self.net = VirtualNet(
             self.loop, net_rng, spec.net, spec.faults, self.counter.handle_line, self.trace
         )
+        # window closes strictly increase and each close event is the first of
+        # its millisecond, so each closes its own round and only that one
         for plan in self.plans:
             close_at = plan.window_close + 1
-            self.loop.schedule(close_at, self.counter.close_round, plan.round, close_at)
+            self.loop.schedule(close_at, self.counter.close_due, close_at)
 
     def run(self) -> tuple[list[int], int]:
         rows = zip(*(matrix.tolist() for matrix in _client_draws(self.spec)))
@@ -589,13 +591,8 @@ def power_curve(
     if runs < 100:
         raise ValueError("power estimates need at least 100 runs per point")
     points = []
-    for di, delta in enumerate(deltas):
-        spec = replace(
-            spec_base,
-            scenario=COPING,
-            delta=delta,
-            seed=_child_seeds(spec_base.seed, di + 1)[-1],
-        )
+    for delta, seed in zip(deltas, _child_seeds(spec_base.seed, len(deltas))):
+        spec = replace(spec_base, scenario=COPING, delta=delta, seed=seed)
         batch = monte_carlo(spec, runs, alpha=alpha)
         points.append(PowerPoint(delta=delta, detection_rate=batch.detection_rate, mean_z=batch.mean_z))
     return points

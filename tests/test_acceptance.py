@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 
 from rollcall import sim, stats
 from rollcall.client import ClientOptions, ClientRunner, TcpTransport, TransportError, UptimeRecord
@@ -234,6 +235,46 @@ def test_criterion_7_power_under_suppression():
               f"{total.detection_rate:.1f} at delta 1.0 (n*={single.n_star}), {elapsed:.0f}s")
 
 
+def exact_detection_rate(m, p, n, delta, alpha, draws, seed):
+    """The rule's detection rate under COPING, averaged over calibrations drawn
+    by an independent generator, each given its exact detection probability.
+
+    A calibration with mean x and spread s detects exactly when
+    N* < x - z_{1-alpha} s, and N* ~ Binomial(m, p (1 - delta)), so each draw
+    contributes that binomial CDF; an unstable or spreadless calibration
+    contributes 0, as it never detects. Returns the average and its SE.
+    """
+    q = p * (1.0 - delta)
+    log_pmf = [math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+               + k * math.log(q) + (m - k) * math.log1p(-q) for k in range(m + 1)]
+    cdf = np.minimum(np.cumsum(np.exp(log_pmf)), 1.0)
+    counts = np.random.default_rng(seed).binomial(m, p, (draws, n))
+    mean, spread = counts.mean(axis=1), counts.std(axis=1, ddof=1)
+    lo, hi = counts.min(axis=1), counts.max(axis=1)
+    usable = (lo > 0) & (hi <= stats.STABILITY_RATIO * lo) & (spread > 0)
+    # P(N* < t) = P(N* <= ceil(t) - 1)
+    below = np.ceil(mean - stats.normal_quantile(1.0 - alpha) * spread).astype(int) - 1
+    prob = np.where(usable & (below >= 0), cdf[np.clip(below, 0, m)], 0.0)
+    return float(prob.mean()), float(prob.std(ddof=1) / math.sqrt(draws))
+
+
+def test_power_curve_middle_matches_exact_oracle():
+    # beside criterion 7's saturated bounds: the unsaturated middle of the curve
+    deltas, runs = [0.03, 0.05, 0.08], 4000
+    for delta in deltas:
+        assert sim._counts_are_draws(study_spec(sim.COPING, delta, seed=714))
+    points = sim.power_curve(study_spec(sim.COPING, 0.0, seed=714), deltas, runs=runs,
+                             alpha=0.05)
+    for point in points:
+        oracle, oracle_se = exact_detection_rate(1000, 0.5, 10, point.delta, 0.05,
+                                                 draws=200_000, seed=7140)
+        se = math.sqrt(oracle * (1 - oracle) / runs + oracle_se**2)
+        z = (point.detection_rate - oracle) / se
+        print(f"\ndelta {point.delta}: detection {point.detection_rate:.4f} against exact "
+              f"{oracle:.4f} (SE {oracle_se:.4f}), {z:+.2f} SE")
+        assert abs(z) <= 4
+
+
 # --- 8. end-to-end loopback with real clients over TCP ---------------------------
 
 N_CLIENTS = 50
@@ -300,8 +341,9 @@ class LossyTransport:
 
 
 def run_experiment(tmp_path, tag, config, wrap_transport):
-    service = CounterService(config, ("127.0.0.1", 0), tmp_path / f"{tag}.log")
-    service.start_background()
+    service = CounterService(config, ("127.0.0.1", 0), tmp_path / f"{tag}.log",
+                             until_complete=True)
+    serving = service.start_background()
     host, port = service.address
     failures = []
 
@@ -344,7 +386,7 @@ def run_experiment(tmp_path, tag, config, wrap_transport):
                for i in range(N_CLIENTS)]
     for thread in threads:
         thread.start()
-    return service, threads, failures
+    return service, serving, threads, failures
 
 
 def test_criterion_8_end_to_end_loopback(tmp_path):
@@ -363,7 +405,7 @@ def test_criterion_8_end_to_end_loopback(tmp_path):
     running = {tag: run_experiment(tmp_path, tag, config, wrap)
                for tag, wrap in wrappers.items()}
     deadline = time.time() + 55
-    for tag, (service, threads, failures) in running.items():
+    for tag, (_service, _serving, threads, failures) in running.items():
         for thread in threads:
             thread.join(timeout=max(deadline - time.time(), 1))
             assert not thread.is_alive(), f"{tag}: client thread stuck"
@@ -371,11 +413,12 @@ def test_criterion_8_end_to_end_loopback(tmp_path):
 
     expected_cal, expected_exe = expected_counts(config)
     results = {}
-    for tag, (service, _threads, _failures) in running.items():
-        while int(time.time() * 1000) <= config.window_close(RoundRef.exe()):
-            time.sleep(0.05)
-        results[tag] = service.snapshot_distribution()
-        service.shutdown()
+    for tag, (service, serving, _threads, _failures) in running.items():
+        # the service stops itself once its serving loop has closed every round
+        serving.join(timeout=max(deadline - time.time(), 1))
+        assert not serving.is_alive(), f"{tag}: counter still serving"
+        assert service.error is None, f"{tag}: {service.error}"
+        results[tag] = service.core.distribution()
     elapsed = time.perf_counter() - started
     for tag, (counts, n_star) in results.items():
         assert counts == expected_cal, f"{tag}: {counts} != {expected_cal}"

@@ -133,7 +133,7 @@ class TestFileSources:
 
 
 class TestTcpAnswerLines:
-    """An answer is one line of at most MAX_LINE_BYTES bytes; anything else
+    """An answer is one UTF-8 line of at most MAX_LINE_BYTES bytes; anything else
     fails the request, and the transport connects again as after any failure."""
 
     @staticmethod
@@ -188,6 +188,23 @@ class TestTcpAnswerLines:
 
     def test_answer_cut_short_by_the_peer_closing(self):
         self._fails_then_reconnects(b"ACK CAL 0", hold_open=False)
+
+    def test_answer_that_is_not_utf8(self):
+        self._fails_then_reconnects(b"ACK \xff\n", hold_open=True)
+
+    def test_sync_over_a_peer_that_answers_non_utf8(self):
+        # the failed exchange is a transport error, which the sync survives
+        address, accepted, thread = self._peer(b"ACK \xff\n", hold_open=True)
+        transport = TcpTransport(*address)
+        try:
+            with pytest.raises(ClockSyncError):
+                sync_clock(transport, FakeClock(), samples=1)
+            thread.join(timeout=5)
+            assert len(accepted) == 2
+        finally:
+            transport.close()
+            for conn in accepted:
+                conn.close()
 
     def test_answer_of_max_length(self):
         answer = b"A" * MAX_LINE_BYTES

@@ -97,10 +97,12 @@ class TestAcceptReport:
 
 class TestRoundLifecycle:
     def test_close_before_window_end_fails(self, config):
+        # the window's last millisecond still accepts reports: nothing closes
         core = CounterCore(config)
         r0 = RoundRef.cal(0)
-        with pytest.raises(CounterError):
-            core.close_round(r0, config.window_close(r0))
+        assert core.close_due(config.window_close(r0)) == []
+        assert not core.tallies[r0].closed
+        assert core.log.lines == []
 
     def test_close_freezes_and_is_idempotent(self, config):
         core = CounterCore(config)
@@ -109,23 +111,26 @@ class TestRoundLifecycle:
         for i in range(3):
             submit(core, report_for(config, r0, f"nonce-{i:03d}"), at)
         after = config.window_close(r0) + 1
-        tally = core.close_round(r0, after)
-        assert tally.closed and tally.count == 3
-        assert core.close_round(r0, after + 5) is tally
+        assert core.close_due(after) == [core.tallies[r0]]
+        assert core.tallies[r0].closed and core.tallies[r0].count == 3
+        assert core.close_due(after + 5) == []
         assert submit(core, report_for(config, r0, "nonce-xyz"), at) == Reject("LATE")
-        assert len([l for l in core.log.lines if " CLOSE " in l]) == 1
+        assert core.tallies[r0].count == 3
+        assert [l for l in core.log.lines if " CLOSE " in l] == [f"{after} CLOSE CAL 0"]
 
     def test_distribution_requires_closed_calibration(self, config):
         core = CounterCore(config)
         with pytest.raises(CounterError):
             core.distribution()
-        end = config.window_close(RoundRef.exe()) + 1
-        for i in range(config.n_rounds):
-            core.close_round(RoundRef.cal(i), end)
+        core.close_due(config.window_close(RoundRef.cal(0)) + 1)
+        with pytest.raises(CounterError, match="calibration round 1 is still open"):
+            core.distribution()
+        last_cal = RoundRef.cal(config.n_rounds - 1)
+        core.close_due(config.window_close(last_cal) + 1)
         counts, n_star = core.distribution()
         assert counts == [0, 0, 0]
         assert n_star is None  # execution round still open
-        core.close_round(RoundRef.exe(), end)
+        core.close_due(config.window_close(RoundRef.exe()) + 1)
         assert core.distribution() == ([0, 0, 0], 0)
 
     def test_close_due_closes_everything_past(self, config):
@@ -275,7 +280,7 @@ class TestLogFiles:
 
     def test_log_distribution_rejects_incomplete(self, config):
         core = CounterCore(config)
-        core.close_round(RoundRef.cal(0), config.window_close(RoundRef.cal(0)) + 1)
+        core.close_due(config.window_close(RoundRef.cal(0)) + 1)  # closes CAL 0 alone
         events = [parse_log_line(line) for line in core.log.lines]
         with pytest.raises(CounterError, match="incomplete"):
             log_distribution(events)
@@ -691,6 +696,20 @@ class TestService:
         core = replay_events(config, read_log(log_path))
         assert core.tallies[RoundRef.cal(0)].count == 1
         assert (RoundRef.cal(0), "live-nonce-1") in core.seen
+
+    def test_a_request_never_closes_a_round(self, config):
+        # no serving loop runs, so nothing but the request could close CAL 0
+        r0 = RoundRef.cal(0)
+        clock = FakeClock(config.window_close(r0) + 1)
+        service = CounterService(config, ("127.0.0.1", 0), fsync=False, clock=clock)
+        token = derive_token(config.secret, r0)
+        try:
+            answer = service.handle(f"REPORT CAL 0 late-nonce {token}".encode())
+        finally:
+            service.shutdown()
+        assert answer == "REJ LATE"
+        assert not service.core.tallies[r0].closed
+        assert [parse_log_line(line).tag for line in service.core.log.lines] == ["REJECT"]
 
     def test_burst_of_connections_fits_the_listen_backlog(self):
         # nothing accepts yet, so every handshake must complete from the
