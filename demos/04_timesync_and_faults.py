@@ -31,12 +31,12 @@ print("\n-- clean network ----------------------------------------------")
 print(f"counts {clean.counts} + execution {clean.n_star}")
 
 print("\n-- one client 10 minutes off, refusing to sync ----------------")
-skew = sim.inject_faults(spec, sim.FaultPlan(clock_offsets=((0, 600_000),),
-                                             unsynced=frozenset({0})))
+skew = sim.run_scenario(replace(spec, faults=sim.FaultPlan(clock_offsets=((0, 600_000),),
+                                                          unsynced=frozenset({0}))))
 print(f"counts {skew.counts} + execution {skew.n_star}  (client 0 always lands LATE)")
 
 print("\n-- same offset, but the client syncs first --------------------")
-synced = sim.inject_faults(spec, sim.FaultPlan(clock_offsets=((0, 600_000),)))
+synced = sim.run_scenario(replace(spec, faults=sim.FaultPlan(clock_offsets=((0, 600_000),))))
 print(f"counts {synced.counts} + execution {synced.n_star}")
 print(f"client 0 estimated its offset as {synced.sync_offsets[0]} ms")
 
@@ -46,7 +46,7 @@ print(f"every estimate lands at +150 ms: {sorted(set(biased.sync_offsets.values(
 print(f"counts stay {biased.counts} (the window tolerates the bias)")
 
 print("\n-- duplicate deliveries and 10% loss ---------------------------")
-doubled = sim.inject_faults(spec, sim.FaultPlan(duplicate_reports=True))
+doubled = sim.run_scenario(replace(spec, faults=sim.FaultPlan(duplicate_reports=True)))
 lossy = sim.run_scenario(replace(spec, net=sim.NetModel(20, 20, 0.10, 0)))
 print(f"duplicated: {doubled.counts} + {doubled.n_star}")
 print(f"lossy     : {lossy.counts} + {lossy.n_star}")

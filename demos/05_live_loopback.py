@@ -40,7 +40,7 @@ config = ExperimentConfig(
 workdir = tempfile.TemporaryDirectory()
 log_path = Path(workdir.name) / "counter.log"
 # the counter stops itself once its serving loop has closed every round
-service = CounterService(config, ("127.0.0.1", 0), log_path, fsync=False, until_complete=True)
+service = CounterService(config, ("127.0.0.1", 0), log_path, until_complete=True)
 serving = service.start_background()
 host, port = service.address
 print(f"counter listening on {host}:{port}")

@@ -37,7 +37,6 @@ _SIM_NAMES = frozenset({
     "ScenarioSpec",
     "SimOutcome",
     "default_sim_config",
-    "inject_faults",
     "monte_carlo",
     "power_curve",
     "run_scenario",
@@ -71,7 +70,6 @@ __all__ = [
     "default_sim_config",
     "derive_token",
     "encode_message",
-    "inject_faults",
     "load_config",
     "monte_carlo",
     "normal_cdf",

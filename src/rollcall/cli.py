@@ -48,6 +48,13 @@ def _integer(text: str) -> int:
         ) from None
 
 
+def _at_least_one(text: str) -> int:
+    number = _integer(text)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return number
+
+
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     try:
@@ -80,7 +87,6 @@ def cmd_counter(args: argparse.Namespace) -> int:
             config,
             args.listen,
             log_path=args.log,
-            fsync=not args.no_fsync,
             until_complete=args.until_complete,
         )
     except OSError as exc:
@@ -263,10 +269,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     try:
         spec = _scenario_from_args(args)
+        outcome = sim.run_scenario(spec, alpha=args.alpha, capture_trace=args.trace_out is not None)
     except (ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    outcome = sim.run_scenario(spec, alpha=args.alpha, capture_trace=args.trace_out is not None)
     print("round\tcount")
     for i, count in enumerate(outcome.counts):
         print(f"CAL {i}\t{count}")
@@ -335,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument("--config", required=True)
     p_counter.add_argument("--log", required=True)
     p_counter.add_argument(
-        "--no-fsync", action="store_true",
-        help="never fsync the log, so answers do not wait for their events to be durable",
-    )
-    p_counter.add_argument(
         "--until-complete", action="store_true", help="exit once every round is closed"
     )
     p_counter.set_defaults(fn=cmd_counter)
@@ -352,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument(
         "--prompt-lead-ms", type=_integer, default=client_mod.DEFAULT_PROMPT_LEAD_MS
     )
-    p_client.add_argument("--sync-samples", type=_integer, default=8)
+    p_client.add_argument(
+        "--sync-samples", type=_at_least_one, default=client_mod.ClientOptions.sync_samples
+    )
     p_client.add_argument(
         "--assume-yes", action="store_true", help="consent to every round without prompting"
     )

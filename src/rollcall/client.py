@@ -292,7 +292,7 @@ def sync_sample(response: str, t1: int, t4: int) -> SyncSample | None:
 # --- sync and survey over a transport ----------------------------------------
 
 
-def sync_clock(transport: Transport, clock: Clock, samples: int = 8) -> ClockEstimate:
+def sync_clock(transport: Transport, clock: Clock, samples: int) -> ClockEstimate:
     """Run `samples` four-timestamp exchanges and keep the lowest-delay one."""
     collected: list[SyncSample] = []
     failures: Exception | None = None

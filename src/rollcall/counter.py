@@ -130,20 +130,20 @@ class EventLog:
     """Append-only sink; `sync` makes what was appended durable.
 
     With a path, each line goes to that file in one write on an append-only
-    fd; without one (the simulator's in-memory log) lines are kept in
-    `lines`. Appends are serialized by the caller; `sync` may run
-    concurrently with them and with other syncs.
+    fd, and `sync` always fsyncs the file; the service answers no event
+    before that. Without a path (the simulator's in-memory log) lines are
+    kept in `lines` and `sync` has nothing to do. Appends are serialized by
+    the caller; `sync` may run concurrently with them and with other syncs.
 
     The file log is fail-stop, so no answer goes out for an event not logged
     whole and durable: a failed or short write is cut back to the last whole
     line (best effort), and after it or a failed fsync, which a retry may
     falsely report done (Rebello et al., ATC 2020), appends and uncovered
-    syncs raise CounterError.
+    syncs raise CounterError, also once the log is closed.
     """
 
-    def __init__(self, path: str | Path | None = None, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self.lines: list[str] = []
-        self._fsync = fsync
         self._fd: int | None = None
         self._stopped: str | None = None  # why appends raise, once they do
         # the end of the last whole line, and the end a finished fsync covers;
@@ -183,7 +183,7 @@ class EventLog:
         """
         target = self._end
         with self._sync_lock:
-            if self._synced >= target or self._fd is None or not self._fsync:
+            if self._synced >= target:
                 return
             if self._stopped is not None:
                 raise CounterError(self._stopped)
@@ -370,12 +370,10 @@ def replay_events(
     return core
 
 
-def replay_log_file(
-    config: ExperimentConfig, path: str | Path, fsync: bool = True
-) -> CounterCore:
+def replay_log_file(config: ExperimentConfig, path: str | Path) -> CounterCore:
     """Recover state from a log file and keep appending to it."""
     events = read_log(path) if Path(path).exists() else []
-    return replay_events(config, events, log=EventLog(path, fsync=fsync))
+    return replay_events(config, events, log=EventLog(path))
 
 
 def log_distribution(events: Iterable[LogEvent]) -> tuple[list[int], int]:
@@ -473,10 +471,12 @@ class _Server(socketserver.ThreadingTCPServer):
 class CounterService:
     """TCP front end: one entry per request line, durable log, rounds closed on time.
 
-    `handle` answers a request line under the service lock, on the thread
-    that serves its connection; it never closes a round. Between accepts, at
-    least every STOP_POLL_S, the serving loop closes the rounds that are due
-    and fsyncs their CLOSEs: it is the only service code that closes one.
+    The service always has a log file, replayed at start and fsynced before
+    any answer to its events. `handle` answers a request line under the
+    service lock, on the thread that serves its connection; it never closes
+    a round. Between accepts, at least every STOP_POLL_S, the serving loop
+    closes the rounds that are due and fsyncs their CLOSEs: it is the only
+    service code that closes one.
 
     `stop` ends the service from any thread or a signal handler; the serving
     loop then closes the socket and the log. A log that stops under the
@@ -489,23 +489,18 @@ class CounterService:
         self,
         config: ExperimentConfig,
         address: tuple[str, int],
-        log_path: str | Path | None = None,
+        log_path: str | Path,
         *,
-        fsync: bool = True,
         clock: Clock | None = None,
         until_complete: bool = False,
     ) -> None:
-        self.config = config
         self.clock = clock if clock is not None else SystemClock()
         self._lock = threading.Lock()
         self._until_complete = until_complete
-        if log_path is not None:
-            try:
-                self.core = replay_log_file(config, log_path, fsync=fsync)
-            except OSError as exc:
-                raise CounterError(f"cannot open log {log_path}: {exc}") from exc
-        else:
-            self.core = CounterCore(config)
+        try:
+            self.core = replay_log_file(config, log_path)
+        except OSError as exc:
+            raise CounterError(f"cannot open log {log_path}: {exc}") from exc
         self._server = _Server(address, _LineHandler)
         self._server.service = self  # type: ignore[attr-defined]
         self.error: str | None = None  # why the log stopped the service

@@ -485,7 +485,7 @@ class Simulation:
 def _analysis(counts: list[int], n_star: int, alpha: float) -> stats.AnalysisResult | None:
     try:
         return stats.analyze(stats.summarize(counts), n_star, alpha)
-    except (ValueError, stats.DegenerateCalibrationError):
+    except stats.DegenerateCalibrationError:
         return None  # no usable calibration spread; the verdict is undefined
 
 
@@ -503,13 +503,6 @@ def run_scenario(
         counter_log=list(sim.counter.log.lines),
         sync_offsets=dict(sim.sync_offsets),
     )
-
-
-def inject_faults(
-    spec: ScenarioSpec, faults: FaultPlan, alpha: float = stats.DEFAULT_ALPHA
-) -> SimOutcome:
-    """Re-run a scenario with the given fault plan applied."""
-    return run_scenario(replace(spec, faults=faults), alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ _STANDARD_NORMAL = NormalDist()
 
 
 class DegenerateCalibrationError(ValueError):
-    """Calibration counts without any spread; the z-score is undefined."""
+    """Calibration counts all zero or without any spread; the z-score is undefined."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def summarize(counts: Iterable[int] | Sequence[int]) -> CalibrationDistribution:
     if any(c < 0 for c in values):
         raise ValueError("calibration counts must be non-negative")
     if not any(values):
-        raise ValueError("all calibration counts are zero; nothing was measured")
+        raise DegenerateCalibrationError("all calibration counts are zero; nothing was measured")
     # numpy loads here, not with the module, so the counter and client never load it
     import numpy as np
 

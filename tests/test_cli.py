@@ -175,6 +175,16 @@ class TestSimulateAndPower:
     def test_bad_scenario_flags(self, capsys):
         assert main(["simulate", "--p", "1.5"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--clients", "200"],
+        ["power", "--clients", "80", "--rounds", "4", "--runs", "100", "--deltas", "0"],
+    ])
+    def test_bad_alpha_is_an_error(self, capsys, command):
+        assert main([*command, "--alpha", "0.9"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "alpha" in captured.err
+        assert "verdict" not in captured.out and "detection_rate" not in captured.out
+
     def test_negative_seed_is_an_error(self, capsys):
         assert main(["simulate", "--clients", "5", "--seed", "-1"]) == EXIT_ERROR
         err = capsys.readouterr().err
@@ -235,6 +245,21 @@ class TestCounterAndClientErrors:
                      "--sync-samples", "1"])
         assert code == EXIT_ERROR
         assert "synchronize" in capsys.readouterr().err
+
+
+    def test_client_needs_a_sync_sample(self, tmp_path, capsys, monkeypatch):
+        conf = tmp_path / "ok.conf"
+        conf.write_text(format_config(make_config()))
+
+        def no_connection(*_args, **_kwargs):
+            raise AssertionError("the client connected")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        with pytest.raises(SystemExit) as err:
+            main(["client", "--config", str(conf), "--counter", "127.0.0.1:9",
+                  "--assume-yes", "--sync-samples", "0"])
+        assert err.value.code == 2
+        assert "--sync-samples" in capsys.readouterr().err
 
 
 class TestClientSourceFiles:
@@ -341,7 +366,7 @@ class TestLiveSubcommands:
         counter = subprocess.Popen(
             [sys.executable, "-m", "rollcall.cli", "counter",
              "--listen", f"127.0.0.1:{port}", "--config", str(conf),
-             "--log", str(log), "--until-complete", "--no-fsync"],
+             "--log", str(log), "--until-complete"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
@@ -366,8 +391,7 @@ class TestLiveSubcommands:
 
 def spawn_counter(conf, log, python_code=None):
     """A `rollcall counter` process on a free port, once it has said it listens."""
-    args = ["counter", "--listen", "127.0.0.1:0", "--config", str(conf), "--log", str(log),
-            "--no-fsync"]
+    args = ["counter", "--listen", "127.0.0.1:0", "--config", str(conf), "--log", str(log)]
     if python_code is None:
         cmd = [sys.executable, "-m", "rollcall.cli", *args]
     else:

@@ -229,11 +229,11 @@ class TestSyncAndSurvey:
         assert est.delay_ms == 0
         assert est.samples_used == 4
 
-    def test_connection_setup_stays_out_of_the_first_sample(self, config, monkeypatch):
+    def test_connection_setup_stays_out_of_the_first_sample(self, tmp_path, config, monkeypatch):
         # client and counter share one clock, and connecting costs 300 ms of it:
         # timed inside the first exchange, it would read as offset 150, delay 300
         clock = FakeClock(start_ms=5000)
-        service = CounterService(config, ("127.0.0.1", 0), fsync=False, clock=clock)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
         service.start_background()
         connect = socket.create_connection
 
@@ -250,11 +250,11 @@ class TestSyncAndSurvey:
             service.shutdown()
         assert (est.offset_ms, est.delay_ms) == (0, 0)
 
-    def test_reconnect_stays_out_of_the_next_sample(self, config, monkeypatch):
+    def test_reconnect_stays_out_of_the_next_sample(self, tmp_path, config, monkeypatch):
         # as above, but the connection fails first: connecting again inside
         # the next exchange would read as offset 150, delay 300
         clock = FakeClock(start_ms=5000)
-        service = CounterService(config, ("127.0.0.1", 0), fsync=False, clock=clock)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
         service.start_background()
         connect = socket.create_connection
 

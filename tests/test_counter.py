@@ -255,11 +255,11 @@ class TestLogFiles:
     def test_replay_file_then_continue_appending(self, tmp_path, config):
         path = tmp_path / "counter.log"
         r0 = RoundRef.cal(0)
-        first = CounterCore(config, EventLog(path, fsync=False))
+        first = CounterCore(config, EventLog(path))
         submit(first, report_for(config, r0, "nonce-01"), config.window_open(r0))
         first.log.close()
 
-        core = replay_log_file(config, path, fsync=False)
+        core = replay_log_file(config, path)
         assert core.tallies[r0].count == 1
         assert submit(
             core, report_for(config, r0, "nonce-01"), config.window_open(r0) + 1
@@ -370,12 +370,12 @@ class TestLogInterpreter:
         path = tmp_path / "counter.log"
         r0 = RoundRef.cal(0)
         at = config.window_open(r0)
-        core = replay_log_file(config, path, fsync=False)
+        core = replay_log_file(config, path)
         assert core.handle_line(f"REPORT CAL 0 {payload}", at) == "REJ MALFORMED"
         submit(core, report_for(config, r0, "nonce-01"), at)
         core.log.close()
         for _ in range(2):
-            core = replay_log_file(config, path, fsync=False)
+            core = replay_log_file(config, path)
             submit(core, report_for(config, r0, "nonce-02"), at)
             core.log.close()
         events = read_log(path)
@@ -389,11 +389,11 @@ class TestLogInterpreter:
         write_lines(path, finished_log_lines(config, [(r0, "nonce-01")])[:1])
         with path.open("ab") as fh:
             fh.write(b"101 ACCEPT REPORT CAL 0 non")  # crash mid-write
-        core = replay_log_file(config, path, fsync=False)
+        core = replay_log_file(config, path)
         assert submit(core, report_for(config, r0, "nonce-02"), at) == Ack(r0)
         core.log.close()
         assert path.read_bytes().count(b"non") == 2  # the torn bytes are gone
-        again = replay_log_file(config, path, fsync=False)
+        again = replay_log_file(config, path)
         again.log.close()
         assert again.seen == {(r0, "nonce-01"), (r0, "nonce-02")}
 
@@ -401,7 +401,7 @@ class TestLogInterpreter:
         path = tmp_path / "counter.log"
         path.write_bytes(b"x" * (3 * 8192 + 5))
         assert read_log(path) == []
-        core = replay_log_file(config, path, fsync=False)
+        core = replay_log_file(config, path)
         core.handle_line("garbage", 5)
         core.log.close()
         assert path.read_bytes() == b"5 REJECT garbage\n"
@@ -448,7 +448,7 @@ class TestLogInterpreter:
         token = derive_token(config.secret, r0)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "counter.log"
-            core = CounterCore(config, EventLog(path, fsync=False))
+            core = CounterCore(config, EventLog(path))
             for i, line in enumerate(requests):
                 core.handle_line(line, at)
                 core.handle_line(f"REPORT CAL 0 nonce-{i:03d} {token}", at)
@@ -466,8 +466,8 @@ class TestFailStopLog:
     the event, nothing after it is logged, and restarts replay cleanly."""
 
     @staticmethod
-    def _started(config, path, fsync=False):
-        core = replay_log_file(config, path, fsync=fsync)
+    def _started(config, path):
+        core = replay_log_file(config, path)
         r0 = RoundRef.cal(0)
         assert submit(core, report_for(config, r0, "nonce-001"), config.window_open(r0)) == Ack(r0)
         return core
@@ -475,11 +475,11 @@ class TestFailStopLog:
     @staticmethod
     def _assert_restarts_replay(config, path, counted):
         r0 = RoundRef.cal(0)
-        core = replay_log_file(config, path, fsync=False)
+        core = replay_log_file(config, path)
         assert core.seen == {(r0, nonce) for nonce in counted}
         assert submit(core, report_for(config, r0, "nonce-002"), config.window_open(r0)) == Ack(r0)
         core.log.close()
-        again = replay_log_file(config, path, fsync=False)
+        again = replay_log_file(config, path)
         again.log.close()
         assert again.tallies[r0].count == len(counted | {"nonce-002"})
 
@@ -532,7 +532,7 @@ class TestFailStopLog:
 
     def test_a_failed_fsync(self, tmp_path, config, monkeypatch):
         path = tmp_path / "counter.log"
-        core = self._started(config, path, fsync=True)
+        core = self._started(config, path)
         core.log.sync()
         at = config.window_open(RoundRef.cal(0))
 
@@ -552,6 +552,22 @@ class TestFailStopLog:
         core.log.close()
         # the logged, never answered nonce-003 counts: logged before acked
         self._assert_restarts_replay(config, path, {"nonce-001", "nonce-003"})
+
+    def test_sync_after_a_failed_fsync_and_close_still_raises(self, tmp_path, config,
+                                                             monkeypatch):
+        core = self._started(config, tmp_path / "counter.log")
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "injected")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(CounterError):
+                core.log.sync()
+        core.log.close()
+        # no fsync covers nonce-001, so no caller may take it as durable
+        with pytest.raises(CounterError, match="failed fsync"):
+            core.log.sync()
 
 
 def _state(core):
@@ -673,7 +689,7 @@ class TestService:
         config = make_config(epoch_ms=now - 11_000, delta_t_ms=100_000, delta_tau_ms=10_000,
                              grace_ms=60_000)
         log_path = tmp_path / "svc.log"
-        service = CounterService(config, ("127.0.0.1", 0), log_path, fsync=False)
+        service = CounterService(config, ("127.0.0.1", 0), log_path)
         service.start_background()
         try:
             token = derive_token(config.secret, RoundRef.cal(0))
@@ -697,11 +713,11 @@ class TestService:
         assert core.tallies[RoundRef.cal(0)].count == 1
         assert (RoundRef.cal(0), "live-nonce-1") in core.seen
 
-    def test_a_request_never_closes_a_round(self, config):
+    def test_a_request_never_closes_a_round(self, tmp_path, config):
         # no serving loop runs, so nothing but the request could close CAL 0
         r0 = RoundRef.cal(0)
         clock = FakeClock(config.window_close(r0) + 1)
-        service = CounterService(config, ("127.0.0.1", 0), fsync=False, clock=clock)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
         token = derive_token(config.secret, r0)
         try:
             answer = service.handle(f"REPORT CAL 0 late-nonce {token}".encode())
@@ -709,12 +725,12 @@ class TestService:
             service.shutdown()
         assert answer == "REJ LATE"
         assert not service.core.tallies[r0].closed
-        assert [parse_log_line(line).tag for line in service.core.log.lines] == ["REJECT"]
+        assert [e.tag for e in read_log(tmp_path / "svc.log")] == ["REJECT"]
 
-    def test_burst_of_connections_fits_the_listen_backlog(self):
+    def test_burst_of_connections_fits_the_listen_backlog(self, tmp_path):
         # nothing accepts yet, so every handshake must complete from the
         # backlog alone; a full backlog drops the SYN and the connect times out
-        service = CounterService(make_config(), ("127.0.0.1", 0), fsync=False)
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
         socks = []
         try:
             for _ in range(20):
@@ -722,14 +738,14 @@ class TestService:
         finally:
             for sock in socks:
                 sock.close()
-            service._server.server_close()
+            service.shutdown()
 
     def _live_service(self, tmp_path):
         now = int(time.time() * 1000)
         # round 0's report window is open right now
         config = make_config(epoch_ms=now - 11_000, delta_t_ms=100_000, delta_tau_ms=10_000,
                              grace_ms=60_000)
-        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", fsync=False)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log")
         service.start_background()
         return config, service
 
@@ -765,8 +781,8 @@ class TestService:
         config = make_config()
         clock = FakeClock(config.window_open(RoundRef.cal(0)))
         log_path = tmp_path / "svc.log"
-        service = CounterService(config, ("127.0.0.1", 0), log_path, fsync=False,
-                                 clock=clock, until_complete=True)
+        service = CounterService(config, ("127.0.0.1", 0), log_path, clock=clock,
+                                 until_complete=True)
         thread = service.start_background()
         token = derive_token(config.secret, RoundRef.cal(0))
         try:
@@ -828,7 +844,7 @@ class TestService:
         now = int(time.time() * 1000)
         config = make_config(epoch_ms=now - 11_000, delta_t_ms=100_000, delta_tau_ms=10_000,
                              grace_ms=60_000)
-        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", fsync=False)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log")
         thread = service.start_background()
         token = derive_token(config.secret, RoundRef.cal(0))
         with socket.create_connection(service.address, timeout=5) as sock:
@@ -936,8 +952,7 @@ class TestStopping:
         return not thread.is_alive()
 
     def test_shutdown_of_a_service_that_never_served(self, tmp_path):
-        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log",
-                                 fsync=False)
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
         assert self._finishes(service.shutdown, 1)
         with pytest.raises(CounterError, match="closed"):
             service.core.log.append(0, "CLOSE", "CAL 0")
@@ -945,8 +960,7 @@ class TestStopping:
 
     def test_an_idle_service_runs_one_thread(self, tmp_path):
         before = set(threading.enumerate())
-        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log",
-                                 fsync=False)
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
         thread = service.start_background()
         try:
             time.sleep(0.3)  # a few passes of the serving loop
@@ -956,8 +970,7 @@ class TestStopping:
         assert _threads_end(before)
 
     def test_interrupt_in_the_serving_loop_still_closes_the_log(self, tmp_path, monkeypatch):
-        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log",
-                                 fsync=False)
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
 
         def interrupted():
             raise KeyboardInterrupt
@@ -978,8 +991,7 @@ class TestStopping:
         config = make_config()
         r0 = RoundRef.cal(0)
         clock = FakeClock(config.window_open(r0))
-        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log",
-                                 fsync=call == "fsync", clock=clock)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         real_call = getattr(os, call)
@@ -1021,15 +1033,14 @@ class TestStopping:
 
 
 class TestGroupCommit:
-    """With fsync on, answers wait for an fsync that covers their events."""
+    """Answers wait for an fsync that covers their events."""
 
     @staticmethod
     def _service(tmp_path):
         config = make_config()
         cal0 = RoundRef.cal(0)
         clock = FakeClock(start_ms=config.window_open(cal0))
-        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log",
-                                 fsync=True, clock=clock)
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
         service.start_background()
         return config, clock, service
 
@@ -1062,7 +1073,7 @@ class TestGroupCommit:
             durable["size"] = max(durable["size"], size)
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
-        log = EventLog(tmp_path / "stress.log", fsync=True)
+        log = EventLog(tmp_path / "stress.log")
         append_lock = threading.Lock()  # the service lock's role
         late: list[int] = []
 

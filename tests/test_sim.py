@@ -28,7 +28,6 @@ from rollcall.sim import (
     _counts_are_draws,
     _draw_counts,
     default_sim_config,
-    inject_faults,
     monte_carlo,
     power_curve,
     run_scenario,
@@ -130,7 +129,7 @@ class TestFaults:
     def test_duplicate_deliveries_do_not_inflate(self):
         spec = small_spec()
         clean = run_scenario(spec)
-        doubled = inject_faults(spec, FaultPlan(duplicate_reports=True))
+        doubled = run_scenario(replace(spec, faults=FaultPlan(duplicate_reports=True)))
         assert doubled.counts == clean.counts
         assert doubled.n_star == clean.n_star
         assert any("REJ DUP" in line for line in doubled.event_trace)
@@ -148,7 +147,7 @@ class TestFaults:
         spec = small_spec()
         clean = run_scenario(spec)
         open0 = spec.config.window_open(spec.config.rounds()[0])
-        burst = inject_faults(spec, FaultPlan(loss_burst=(open0, open0 + 500)))
+        burst = run_scenario(replace(spec, faults=FaultPlan(loss_burst=(open0, open0 + 500))))
         assert burst.counts == clean.counts
 
     def test_unsynced_offset_client_lands_late(self):
@@ -156,7 +155,7 @@ class TestFaults:
         clean = run_scenario(spec)
         assert clean.counts == [spec.m_clients] * spec.config.n_rounds
         fault = FaultPlan(clock_offsets=((0, 600_000),), unsynced=frozenset({0}))
-        skewed = inject_faults(spec, fault)
+        skewed = run_scenario(replace(spec, faults=fault))
         assert skewed.counts == [spec.m_clients - 1] * spec.config.n_rounds
         assert skewed.n_star == spec.m_clients - 1
         late_rejects = [
@@ -169,7 +168,8 @@ class TestFaults:
         net = NetModel(min_latency_ms=30, max_latency_ms=30)
         spec = small_spec(net=net)
         clean = run_scenario(spec)
-        skewed = inject_faults(spec, FaultPlan(clock_offsets=((0, 1500), (1, -1500))))
+        fault = FaultPlan(clock_offsets=((0, 1500), (1, -1500)))
+        skewed = run_scenario(replace(spec, faults=fault))
         assert skewed.counts == clean.counts
         assert skewed.n_star == clean.n_star
         # symmetric fixed-delay paths recover injected offsets exactly
@@ -354,6 +354,14 @@ class TestBatches:
     def test_power_curve_requires_enough_runs(self):
         with pytest.raises(ValueError, match="100"):
             power_curve(small_spec(), [0.0], runs=50)
+
+    def test_a_bad_alpha_raises(self):
+        with pytest.raises(ValueError, match="alpha"):
+            monte_carlo(small_spec(), runs=50, alpha=0.0)
+
+    def test_all_zero_counts_have_no_analysis(self):
+        # nothing was measured: no verdict, and no error either
+        assert run_scenario(small_spec(p_participate=0.0)).analysis is None
 
 
 class TestStreams:
