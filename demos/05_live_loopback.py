@@ -46,6 +46,14 @@ host, port = service.address
 print(f"counter listening on {host}:{port}")
 
 
+print_lock = threading.Lock()  # one client's line at a time, never interleaved
+
+
+def notify(i: int, line: str) -> None:
+    with print_lock:
+        print(f"  client {i}: {line}")
+
+
 def run_client(i: int) -> None:
     consent = lambda round, deadline: not (round.kind == "CAL" and round.index == 1 and i == 3)
     activity = lambda start, end: [ActivityEvent(start + 300)] if i == 4 else []
@@ -64,7 +72,7 @@ def run_client(i: int) -> None:
         activity,
         uptime,
         options=ClientOptions(nonce=f"demo-cl-{i:02d}", prompt_lead_ms=800, sync_samples=3),
-        notify=lambda line, i=i: print(f"  client {i}: {line}"),
+        notify=lambda line: notify(i, line),
     )
     runner.run()
 

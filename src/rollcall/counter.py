@@ -250,19 +250,20 @@ class CounterCore:
             msg = decode_message(line)
         except MalformedLine:
             return self._reject_malformed(line, arrival_ms)
-        if isinstance(msg, SyncRequest):
-            t3 = arrival_ms if send_ms is None else send_ms
-            return encode_message(SyncResponse(msg.t1, arrival_ms, t3))
         # a report or survey is logged as received, not encoded again
-        if isinstance(msg, Report):
+        if isinstance(msg, Report):  # the most frequent line, so tested first
             reason = self._rejection_reason(msg, arrival_ms)
             if reason is not None:
                 self.log.append(arrival_ms, TAG_REJECT, line)
                 return self._reject_lines[reason]
             self.log.append(arrival_ms, TAG_ACCEPT, line)
-            self.seen.add((msg.round, msg.nonce))
-            self.tallies[msg.round].count += 1
-            return self._ack_lines[msg.round]
+            round = msg.round
+            self.seen.add((round, msg.nonce))
+            self.tallies[round].count += 1
+            return self._ack_lines[round]
+        if isinstance(msg, SyncRequest):
+            t3 = arrival_ms if send_ms is None else send_ms
+            return encode_message(SyncResponse(msg.t1, arrival_ms, t3))
         if isinstance(msg, Survey):  # never gated on participation; all are kept
             self.log.append(arrival_ms, TAG_SURVEY, line)
             self.surveys.append(msg)

@@ -154,58 +154,55 @@ def _check_nonce(nonce: str) -> None:
         raise ValueError("nonce must be 8-64 characters without whitespace")
 
 
-@dataclass(frozen=True)
-class SyncRequest:
-    t1: int
+# Each message is a named tuple checked in `__new__`, like RoundRef. It compares
+# as the tuple of its fields, so equal fields of two types compare equal. Only
+# the decoder builds messages with `_make`, which skips the checks: each verb's
+# pattern is built from the very field patterns the checks use.
 
 
-@dataclass(frozen=True)
-class SyncResponse:
-    t1: int
-    t2: int
-    t3: int
+class SyncRequest(namedtuple("SyncRequest", "t1")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Report:
+class SyncResponse(namedtuple("SyncResponse", "t1 t2 t3")):
+    __slots__ = ()
+
+
+class Report(namedtuple("Report", "round nonce token")):
     """One client's per-round participation certificate."""
 
-    round: RoundRef
-    nonce: str
-    token: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_nonce(self.nonce)
-        if not _TOKEN_RE.fullmatch(self.token):
+    def __new__(cls, round: RoundRef, nonce: str, token: str) -> "Report":
+        _check_nonce(nonce)
+        if not _TOKEN_RE.fullmatch(token):
             raise ValueError("token must be exactly 32 lowercase hex characters")
+        return super().__new__(cls, round, nonce, token)
 
 
-@dataclass(frozen=True)
-class Ack:
-    round: RoundRef
+class Ack(namedtuple("Ack", "round")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Reject:
-    reason: str
+class Reject(namedtuple("Reject", "reason")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.reason not in REJECT_REASONS:
-            raise ValueError(f"unknown reject reason {self.reason!r}")
+    def __new__(cls, reason: str) -> "Reject":
+        if reason not in REJECT_REASONS:
+            raise ValueError(f"unknown reject reason {reason!r}")
+        return super().__new__(cls, reason)
 
 
-@dataclass(frozen=True)
-class Survey:
+class Survey(namedtuple("Survey", "nonce code text")):
     """A questionnaire answer; `text` is the decoded free text (may be empty)."""
 
-    nonce: str
-    code: str
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_nonce(self.nonce)
-        if self.code not in SURVEY_CODES:
-            raise ValueError(f"unknown survey code {self.code!r}")
+    def __new__(cls, nonce: str, code: str, text: str) -> "Survey":
+        _check_nonce(nonce)
+        if code not in SURVEY_CODES:
+            raise ValueError(f"unknown survey code {code!r}")
+        return super().__new__(cls, nonce, code, text)
 
 
 Message = SyncRequest | SyncResponse | Report | Ack | Reject | Survey
@@ -305,18 +302,18 @@ def _one_of(words: frozenset[str]) -> str:
 _INT = _INT_RE.pattern
 _ROUND = _ROUND_RE.pattern
 # verb -> (pattern of the rest of the line, constructor from the pattern's groups)
-_GRAMMAR: dict[str, tuple[re.Pattern[str], Callable[..., Message]]] = {
-    "SYNC": (_fields(_INT), lambda t1: SyncRequest(int(t1))),
-    "SYNCR": (_fields(_INT, _INT, _INT), lambda *ts: SyncResponse(*map(int, ts))),
+_GRAMMAR: dict[str, tuple[re.Pattern[str], Callable[[tuple[str, ...]], Message]]] = {
+    "SYNC": (_fields(_INT), lambda groups: SyncRequest._make(map(int, groups))),
+    "SYNCR": (_fields(_INT, _INT, _INT), lambda groups: SyncResponse._make(map(int, groups))),
     "REPORT": (
         _fields(_ROUND, _NONCE_RE.pattern, _TOKEN_RE.pattern),
-        lambda round, nonce, token: Report(_round_ref(round), nonce, token),
+        lambda groups: Report._make((_round_ref(groups[0]), groups[1], groups[2])),
     ),
-    "ACK": (_fields(_ROUND), lambda round: Ack(_round_ref(round))),
-    "REJ": (_fields(_one_of(REJECT_REASONS)), Reject),
+    "ACK": (_fields(_ROUND), lambda groups: Ack._make((_round_ref(groups[0]),))),
+    "REJ": (_fields(_one_of(REJECT_REASONS)), Reject._make),
     "SURVEY": (
         _fields(_NONCE_RE.pattern, _one_of(SURVEY_CODES), r"\S+"),
-        lambda nonce, code, text: Survey(nonce, code, decode_survey_text(text)),
+        lambda groups: Survey._make((groups[0], groups[1], decode_survey_text(groups[2]))),
     ),
 }
 
@@ -329,7 +326,7 @@ def decode_message(line: str) -> Message:
     if match is None:
         raise MalformedLine(f"unrecognized line {line!r}")
     try:
-        return grammar[1](*match.groups())
+        return grammar[1](match.groups())
     except ValueError as exc:  # more digits than int() takes, or non-canonical text
         raise MalformedLine(str(exc)) from exc
 

@@ -58,12 +58,6 @@ class FaultPlan:
     clock_offsets: tuple[tuple[int, int], ...] = ()  # (client index, true offset ms)
     unsynced: frozenset[int] = frozenset()  # clients that skip sync and assume offset 0
 
-    def offset_of(self, index: int) -> int:
-        for i, offset in self.clock_offsets:
-            if i == index:
-                return offset
-        return 0
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -167,7 +161,13 @@ class EventLoop:
 
 
 class VirtualNet:
-    """Latency/loss model between all clients and the counter."""
+    """Latency/loss model between all clients and the counter.
+
+    A hop costs only what the run asks of it: without a trace no trace line
+    is formatted and a reply calls its client back directly, and a net that
+    cannot drop (no loss probability, no loss burst) never asks `_lost`, the
+    one drop decision.
+    """
 
     def __init__(
         self,
@@ -184,19 +184,20 @@ class VirtualNet:
         self.faults = faults
         self.counter_handler = counter_handler
         self.trace = trace
+        self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
         self._lat_buf: list[int] = []
         self._loss_buf: list[float] = []
 
     _BUF = 8192
 
-    def _latency(self) -> int:
-        if self.net.min_latency_ms == self.net.max_latency_ms:
-            return self.net.min_latency_ms
-        if not self._lat_buf:
-            self._lat_buf = self.rng.integers(
-                self.net.min_latency_ms, self.net.max_latency_ms + 1, size=self._BUF
-            ).tolist()
-        return self._lat_buf.pop()
+    def _latencies(self) -> list[int]:
+        """A full buffer of one-way latencies to pop from; a fixed latency draws nothing."""
+        low, high = self.net.min_latency_ms, self.net.max_latency_ms
+        if low == high:
+            self._lat_buf = [low] * self._BUF
+        else:
+            self._lat_buf = self.rng.integers(low, high + 1, size=self._BUF).tolist()
+        return self._lat_buf
 
     def _lost(self, at_ms: int) -> bool:
         burst = self.faults.loss_burst
@@ -208,31 +209,37 @@ class VirtualNet:
             self._loss_buf = self.rng.random(size=self._BUF).tolist()
         return self._loss_buf.pop() < self.net.loss_prob
 
-    def _note(self, kind: str, line: str) -> None:
-        if self.trace is not None:
-            self.trace.append(f"{self.loop.now} {kind} {line}")
-
     def request(self, line: str, on_response: Callable[..., None], *ctx: object) -> None:
         """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered."""
-        self._note("SEND", line)
+        now, trace = self.loop.now, self.trace
+        if trace is not None:
+            trace.append(f"{now} SEND {line}")
         copies = 2 if self.faults.duplicate_reports and line.startswith("REPORT ") else 1
         for _ in range(copies):
-            if self._lost(self.loop.now):
-                self._note("DROP", line)
+            if self.can_drop and self._lost(now):
+                if trace is not None:
+                    trace.append(f"{now} DROP {line}")
                 continue
-            up = self._latency() + self.net.asym_up_ms
-            self.loop.schedule(self.loop.now + up, self._deliver, line, on_response, ctx)
+            up = (self._lat_buf or self._latencies()).pop() + self.net.asym_up_ms
+            self.loop.schedule(now + up, self._deliver, line, on_response, ctx)
 
     def _deliver(self, line: str, on_response: Callable[..., None], ctx: tuple) -> None:
-        self._note("DELIVER", line)
-        response = self.counter_handler(line, self.loop.now)
-        if self._lost(self.loop.now):
-            self._note("DROP-REPLY", response)
+        now, trace = self.loop.now, self.trace
+        if trace is not None:
+            trace.append(f"{now} DELIVER {line}")
+        response = self.counter_handler(line, now)
+        if self.can_drop and self._lost(now):
+            if trace is not None:
+                trace.append(f"{now} DROP-REPLY {response}")
             return
-        self.loop.schedule(self.loop.now + self._latency(), self._reply, response, on_response, ctx)
+        at = now + (self._lat_buf or self._latencies()).pop()
+        if trace is None:
+            self.loop.schedule(at, on_response, response, *ctx)
+        else:
+            self.loop.schedule(at, self._reply, response, on_response, ctx)
 
     def _reply(self, response: str, on_response: Callable[..., None], ctx: tuple) -> None:
-        self._note("REPLY", response)
+        self.trace.append(f"{self.loop.now} REPLY {response}")  # type: ignore[union-attr]
         on_response(response, *ctx)
 
 
@@ -339,7 +346,7 @@ class SimClient:
         _check_nonce(self.nonce)  # so that every REPORT line built from it is valid
         spec = sim.spec
         self.participates, self.jitter = participates, jitter
-        self.true_offset = spec.faults.offset_of(index)  # add to local clock for counter time
+        self.true_offset = sim.clock_offsets.get(index, 0)  # add to local clock for counter time
         self.synced = index not in spec.faults.unsynced and spec.sync_samples > 0
         self.offset_est: int | None = None if self.synced else 0
         self._sync_samples: list[SyncSample] = []
@@ -373,7 +380,7 @@ class SimClient:
         t1 = self._local_now()
         expected = len(self._sync_samples)
         self.sim.net.request(f"SYNC {t1}", self._on_sync_answer, t1, expected)
-        if self.sim.net_can_drop:  # else the response always arrives and drives the next step
+        if self.sim.net.can_drop:  # else the response always arrives and drives the next step
             timeout = self.sim.spec.retry_ms + 2 * self.sim.spec.net.max_latency_ms + 50
             self.sim.loop.schedule(self.sim.loop.now + timeout, self._on_sync_timeout, expected)
 
@@ -412,12 +419,13 @@ class SimClient:
 
     def _schedule_rounds(self) -> None:
         margin = self.sim.spec.send_margin_ms
-        for plan in self.sim.plans:
-            if not self.participates[plan.column]:
+        schedule = self.sim.loop.schedule
+        for plan, participates, jitter in zip(self.sim.plans, self.participates, self.jitter):
+            if not participates:
                 continue
-            when = self._true_time_for(plan.window_open + margin + self.jitter[plan.column])
+            when = self._true_time_for(plan.window_open + margin + jitter)
             first = self._attempt_execution if plan.round.is_execution else self._try_send
-            self.sim.loop.schedule(when, first, plan)
+            schedule(when, first, plan)
 
     def _attempt_execution(self, plan: _RoundPlan) -> None:
         config = self.sim.spec.config
@@ -437,7 +445,7 @@ class SimClient:
             return
         sim = self.sim
         sim.net.request(f"{plan.head} {self.nonce} {plan.token}", self._on_answer, plan)
-        if sim.net_can_drop:
+        if sim.net.can_drop:
             # a lost request or reply never answers; poll until the window closes
             retry_at = sim.loop.now + sim.spec.retry_ms + 2 * sim.spec.net.max_latency_ms
             sim.loop.schedule(retry_at, self._try_send, plan)
@@ -458,8 +466,9 @@ class Simulation:
         self.trace: list[str] | None = [] if capture_trace else None
         self.counter = CounterCore(spec.config)
         self.plans = list(_round_plans(spec.config))
-        self.net_can_drop = spec.net.loss_prob > 0.0 or spec.faults.loss_burst is not None
         self.sync_offsets: dict[int, int] = {}
+        # each client's true clock offset; reversed, so the first entry for an index wins
+        self.clock_offsets = dict(reversed(spec.faults.clock_offsets))
         net_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((spec.seed, _NET_STREAM_TAG)))
         )
@@ -493,6 +502,7 @@ def run_scenario(
     spec: ScenarioSpec, alpha: float = stats.DEFAULT_ALPHA, capture_trace: bool = True
 ) -> SimOutcome:
     """Simulate one full experiment and analyze it with the real decision rule."""
+    stats._check_alpha(alpha)  # also when the counts leave no verdict to take
     sim = Simulation(spec, capture_trace=capture_trace)
     counts, n_star = sim.run()
     return SimOutcome(
@@ -547,6 +557,7 @@ def monte_carlo(spec: ScenarioSpec, runs: int, alpha: float = stats.DEFAULT_ALPH
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    stats._check_alpha(alpha)
     drawn = _counts_are_draws(spec)
     detections = 0
     zs: list[float] = []
@@ -583,6 +594,7 @@ def power_curve(
     """Detection rate of the coping verdict as a function of suppression delta."""
     if runs < 100:
         raise ValueError("power estimates need at least 100 runs per point")
+    stats._check_alpha(alpha)
     points = []
     for delta, seed in zip(deltas, _child_seeds(spec_base.seed, len(deltas))):
         spec = replace(spec_base, scenario=COPING, delta=delta, seed=seed)

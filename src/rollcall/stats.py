@@ -111,6 +111,13 @@ def normal_quantile(p: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless `alpha` is a usable significance level; the
+    simulator's batches call this before any run, verdict or not."""
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError("alpha must lie in (0, 0.5]")
+
+
 def analyze(
     dist: CalibrationDistribution, n_star: int, alpha: float = DEFAULT_ALPHA
 ) -> AnalysisResult:
@@ -121,8 +128,7 @@ def analyze(
     when z falls below the negative critical value for `alpha`. The reported
     confidence is 1 - CDF(z) in every case.
     """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError("alpha must lie in (0, 0.5]")
+    _check_alpha(alpha)
     z = z_score(dist, n_star)
     p = normal_cdf(z)
     confidence = 1.0 - p

@@ -11,6 +11,7 @@ minimum-delay filtering over the samples of one sync.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
@@ -19,20 +20,19 @@ class ClockSyncError(RuntimeError):
     """No usable sync sample is available."""
 
 
-@dataclass(frozen=True)
-class SyncSample:
-    """One four-timestamp exchange, all in integer milliseconds."""
+class SyncSample(namedtuple("SyncSample", "t1 t2 t3 t4")):
+    """One four-timestamp exchange, all in integer milliseconds: client send
+    (t1) and receive (t4) on the client clock, server receive (t2) and send
+    (t3) on the server clock. A named tuple checked in `__new__`."""
 
-    t1: int  # client send, client clock
-    t2: int  # server receive, server clock
-    t3: int  # server send, server clock
-    t4: int  # client receive, client clock
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.t4 < self.t1:
+    def __new__(cls, t1: int, t2: int, t3: int, t4: int) -> "SyncSample":
+        if t4 < t1:
             raise ValueError("client receive time precedes send time")
-        if self.t3 < self.t2:
+        if t3 < t2:
             raise ValueError("server send time precedes receive time")
+        return super().__new__(cls, t1, t2, t3, t4)
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,14 @@ UNKNOWN_VERBS = ["HELLO", "sync", "REPORTS", "SYNCRR", "ACK0"]
 
 
 @st.composite
-def schema_lines(draw):
-    """A wire line assembled from SCHEMA parts, and whether it is valid by construction."""
+def schema_lines(draw, valid_only=False):
+    """A wire line assembled from SCHEMA parts, and whether it is valid by
+    construction; with `valid_only`, always a valid one."""
+    if valid_only:
+        parts = [draw(st.sampled_from(list(SCHEMA)))]
+        for valid, _invalid in SCHEMA[parts[0]]:
+            parts += draw(valid)
+        return " ".join(parts), True
     verb = draw(st.sampled_from([*SCHEMA, *SCHEMA, *UNKNOWN_VERBS]))
     schema = SCHEMA.get(verb) or draw(st.sampled_from(list(SCHEMA.values())))
     bad = draw(st.sets(st.integers(min_value=0, max_value=len(schema) - 1)))
@@ -146,6 +152,29 @@ def test_decoder_accepts_exactly_the_valid_lines(case):
     assert (msg is not None) == valid, line
     if msg is not None:
         assert encode_message(msg) == line
+
+
+def _typed(msg):
+    """A message with its type: named tuples of equal fields compare equal across types."""
+    return type(msg), msg
+
+
+VALID_LINE = schema_lines(valid_only=True).map(lambda case: case[0])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(VALID_LINE, schema_lines().map(lambda case: case[0])), VALID_LINE)
+def test_decoded_messages_are_checked_values_of_their_own_type(line, other_line):
+    other = decode_message(other_line)
+    try:
+        msg = decode_message(line)
+    except MalformedLine:
+        return
+    # the decoder builds with `_make`, skipping the checks its patterns made;
+    # the checked constructor is the oracle
+    assert _typed(type(msg)(*msg)) == _typed(msg)
+    if type(msg) is not type(other):
+        assert msg != other
 
 
 # --- the compiled decoder against the split-based one it replaced ----------------
@@ -185,7 +214,7 @@ def reference_decode(line):
 
 def _outcome(decode, line):
     try:
-        return decode(line)
+        return _typed(decode(line))
     except MalformedLine:
         return MalformedLine
 
@@ -236,7 +265,7 @@ VALID_LINES = [
 @pytest.mark.parametrize("line", VALID_LINES)
 def test_hidden_space_in_every_field_is_malformed(line):
     # the reference rejects these too (covered above); here every place is tried
-    assert decode_message(line) == reference_decode(line)
+    assert _typed(decode_message(line)) == _typed(reference_decode(line))
     parts = line.split(" ")
     for i, part in enumerate(parts):
         for at in range(len(part) + 1):

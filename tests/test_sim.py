@@ -164,6 +164,15 @@ class TestFaults:
         ]
         assert late_rejects  # its reports arrived and were turned away
 
+    def test_first_clock_offset_of_a_client_wins(self):
+        spec = small_spec(p_participate=1.0)
+        first = FaultPlan(clock_offsets=((0, 600_000),), unsynced=frozenset({0}))
+        repeated = replace(first, clock_offsets=((0, 600_000), (1, 0), (0, 0)))
+        a = run_scenario(replace(spec, faults=first))
+        b = run_scenario(replace(spec, faults=repeated))
+        assert b.counts == a.counts == [spec.m_clients - 1] * spec.config.n_rounds
+        assert b.event_trace == a.event_trace
+
     def test_synced_offset_within_tolerance_changes_nothing(self):
         net = NetModel(min_latency_ms=30, max_latency_ms=30)
         spec = small_spec(net=net)
@@ -222,9 +231,9 @@ class TestCodecWork:
 class TestHopWork:
     def test_reports_are_checked_per_round_and_per_delivery_never_per_send(self, monkeypatch):
         checked = []
-        real = protocol.Report.__post_init__
+        real = protocol.Report.__new__
         monkeypatch.setattr(
-            protocol.Report, "__post_init__", lambda report: checked.append(report) or real(report)
+            protocol.Report, "__new__", lambda cls, *args: checked.append(args) or real(cls, *args)
         )
         spec = small_spec()
         outcome = run_scenario(spec)
@@ -232,7 +241,8 @@ class TestHopWork:
         sends = sum(kind == "SEND" and line.startswith("REPORT ") for kind, line in events)
         deliveries = sum(kind == "DELIVER" and line.startswith("REPORT ") for kind, line in events)
         assert sends == deliveries > 2 * len(spec.config.rounds())  # a clean run drops nothing
-        assert len(checked) <= len(spec.config.rounds()) + deliveries
+        # once per round for the REPORT parts; a delivered line was checked by its pattern
+        assert 0 < len(checked) <= len(spec.config.rounds())
 
     def test_rounds_are_one_value_from_every_source(self):
         config = small_spec().config
@@ -358,6 +368,16 @@ class TestBatches:
     def test_a_bad_alpha_raises(self):
         with pytest.raises(ValueError, match="alpha"):
             monte_carlo(small_spec(), runs=50, alpha=0.0)
+
+    def test_a_bad_alpha_raises_where_no_verdict_is_taken(self):
+        # all-zero counts are never analyzed; the alpha is checked all the same
+        empty = small_spec(p_participate=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            monte_carlo(empty, 5, alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            run_scenario(empty, alpha=0.9)
+        with pytest.raises(ValueError, match="alpha"):
+            power_curve(empty, [], runs=100, alpha=0.9)
 
     def test_all_zero_counts_have_no_analysis(self):
         # nothing was measured: no verdict, and no error either
