@@ -30,7 +30,7 @@ from .stats import (
 )
 
 # the simulator, and numpy with it, loads on first use of one of its names,
-# so the counter and the client start without either (PEP 562)
+# so the counter, the client and `analyze` start without either (PEP 562)
 _SIM_NAMES = frozenset({
     "FaultPlan",
     "NetModel",

@@ -234,8 +234,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 # --- simulate / power ----------------------------------------------------------
-# only these commands import the simulator, which loads numpy, so the counter
-# and the client start without it
+# only these commands import the simulator, which loads numpy, so the counter,
+# the client and `analyze` start without it
 
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:

@@ -358,10 +358,10 @@ def replay_events(
     not belong to this config and raises CounterError.
     """
     content = _interpret_log(events)
-    for round in (*content.counts, *content.closed):
-        if not config.has_round(round):
-            raise CounterError(f"log names round {round.wire()}, which the config lacks")
     core = CounterCore(config, log=log)
+    for round in (*content.counts, *content.closed):
+        if round not in core.tallies:
+            raise CounterError(f"log names round {round.wire()}, which the config lacks")
     core.seen = content.seen
     core.surveys = content.surveys
     for round, count in content.counts.items():

@@ -49,7 +49,16 @@ class ConfigError(ProtocolError):
     """A config file or config value that violates the schedule contract."""
 
 
-class RoundRef(namedtuple("RoundRef", "kind index")):
+class _Checked:
+    """Base of a named tuple checked in `__new__`: `_replace` runs the checks too."""
+
+    __slots__ = ()
+
+    def _replace(self, **changes):
+        return type(self)(*super()._replace(**changes))
+
+
+class RoundRef(_Checked, namedtuple("RoundRef", "kind index")):
     """Reference to one scheduled round: a calibration index or the execution round.
 
     A plain immutable value: it hashes and compares as the tuple
@@ -136,11 +145,6 @@ class ExperimentConfig:
         """Last counter time (inclusive) at which reports for `round` are accepted."""
         return self.window_open(round) + self.grace_ms
 
-    def has_round(self, round: RoundRef) -> bool:
-        if round.kind == EXE:
-            return True
-        return 0 <= round.index < self.n_rounds
-
     def rounds(self) -> list[RoundRef]:
         """All rounds in schedule order, the execution round last."""
         return [RoundRef.cal(i) for i in range(self.n_rounds)] + [RoundRef.exe()]
@@ -168,7 +172,7 @@ class SyncResponse(namedtuple("SyncResponse", "t1 t2 t3")):
     __slots__ = ()
 
 
-class Report(namedtuple("Report", "round nonce token")):
+class Report(_Checked, namedtuple("Report", "round nonce token")):
     """One client's per-round participation certificate."""
 
     __slots__ = ()
@@ -184,7 +188,7 @@ class Ack(namedtuple("Ack", "round")):
     __slots__ = ()
 
 
-class Reject(namedtuple("Reject", "reason")):
+class Reject(_Checked, namedtuple("Reject", "reason")):
     __slots__ = ()
 
     def __new__(cls, reason: str) -> "Reject":
@@ -193,7 +197,7 @@ class Reject(namedtuple("Reject", "reason")):
         return super().__new__(cls, reason)
 
 
-class Survey(namedtuple("Survey", "nonce code text")):
+class Survey(_Checked, namedtuple("Survey", "nonce code text")):
     """A questionnaire answer; `text` is the decoded free text (may be empty)."""
 
     __slots__ = ()
@@ -208,12 +212,6 @@ class Survey(namedtuple("Survey", "nonce code text")):
 Message = SyncRequest | SyncResponse | Report | Ack | Reject | Survey
 
 
-@lru_cache(maxsize=4096)
-def _token_digest(secret: str, kind: str, index: int) -> str:
-    preimage = f"{secret}:{index}:{kind}".encode("utf-8")
-    return hashlib.sha256(preimage).hexdigest()[:TOKEN_HEX_LEN]
-
-
 def derive_token(secret: str, round: RoundRef) -> str:
     """Deterministic per-round token shared by every client holding `secret`.
 
@@ -223,7 +221,8 @@ def derive_token(secret: str, round: RoundRef) -> str:
     """
     if not secret:
         raise ValueError("secret must be non-empty")
-    return _token_digest(secret, round.kind, round.index)
+    preimage = f"{secret}:{round.index}:{round.kind}".encode("utf-8")
+    return hashlib.sha256(preimage).hexdigest()[:TOKEN_HEX_LEN]
 
 
 def encode_survey_text(text: str) -> str:

@@ -7,8 +7,9 @@ the normal critical value for the chosen significance level. A calibration is
 only usable when every count is positive and max/min stays within 10, the
 literal reading of "within an order of magnitude".
 
-The normal CDF and its inverse come from the standard library
-(`math.erfc`, `statistics.NormalDist`), clamped into the open interval (0, 1).
+`statistics` gives the mean (`fmean`), sample standard deviation (`stdev`)
+and quantile (`NormalDist`). The CDF is ``0.5 * erfc(-z/√2)`` clamped into
+(0, 1); `NormalDist().cdf` goes through `erf` and reads 0 below z = -8.38.
 
 Known caveat, measured rather than corrected: with a sample mean/stddev and a
 normal CDF the true null false-positive rate exceeds alpha for small n (the
@@ -18,8 +19,8 @@ Student-t effect); the simulator quantifies it.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Iterable, Sequence
 
 # the two scenarios the rule tells apart: participation unchanged (DEFENSE)
@@ -36,7 +37,7 @@ STABILITY_RATIO = 10
 
 _SQRT2 = math.sqrt(2.0)
 _MIN_POSITIVE = 5e-324
-_STANDARD_NORMAL = NormalDist()
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 class DegenerateCalibrationError(ValueError):
@@ -70,16 +71,13 @@ def summarize(counts: Iterable[int] | Sequence[int]) -> CalibrationDistribution:
         raise ValueError("calibration counts must be non-negative")
     if not any(values):
         raise DegenerateCalibrationError("all calibration counts are zero; nothing was measured")
-    # numpy loads here, not with the module, so the counter and client never load it
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
+    mean = statistics.fmean(values)
     lo, hi = min(values), max(values)
     stable = lo > 0 and hi <= STABILITY_RATIO * lo
     return CalibrationDistribution(
         counts=values,
-        mean=float(arr.mean()),
-        stddev=float(arr.std(ddof=1)),
+        mean=mean,
+        stddev=statistics.stdev(values, mean),
         stable=stable,
     )
 

@@ -15,12 +15,14 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
+from .protocol import _Checked
+
 
 class ClockSyncError(RuntimeError):
     """No usable sync sample is available."""
 
 
-class SyncSample(namedtuple("SyncSample", "t1 t2 t3 t4")):
+class SyncSample(_Checked, namedtuple("SyncSample", "t1 t2 t3 t4")):
     """One four-timestamp exchange, all in integer milliseconds: client send
     (t1) and receive (t4) on the client clock, server receive (t2) and send
     (t3) on the server clock. A named tuple checked in `__new__`."""

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import unittest.mock
 from pathlib import Path
 
@@ -93,6 +94,25 @@ class TestAcceptReport:
         submit(core, report_for(config, r0, "nonce-02"), config.window_open(r0) - 5)
         assert core.tallies[r0].count == 0
         assert core.seen == set()
+
+    def test_off_schedule_rounds_leave_nothing_held(self, config):
+        # each line makes the core derive the token of a round that is not in
+        # the schedule; once the logged lines are dropped, nothing of the
+        # hostile indices may stay behind
+        core = CounterCore(config)
+        at = config.window_open(RoundRef.cal(0))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(4096):
+                index = str(i + 1) + "7" * 4200
+                line = f"REPORT CAL {index} nonce-001 {'0' * 32}"
+                assert core.handle_line(line, at) == "REJ BADTOKEN"
+            core.log.lines.clear()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - before < 2_000_000
 
 
 class TestRoundLifecycle:

@@ -1,4 +1,6 @@
-"""The package loads the simulator, and numpy with it, only when it is used."""
+"""Only the simulator imports numpy, and the package loads the simulator only
+when one of its names is used: the counter, the client and `analyze` run on
+the standard library alone."""
 
 import os
 import subprocess
@@ -10,21 +12,37 @@ import pytest
 import rollcall
 from rollcall import protocol, sim, stats
 
+from test_cli import write_log
+
 SRC = Path(rollcall.__file__).resolve().parents[1]
 
 
-def test_counter_and_client_start_without_numpy():
-    code = (
-        "import sys\n"
-        "import rollcall, rollcall.cli, rollcall.counter, rollcall.client, rollcall.timesync\n"
-        "rollcall.cli.build_parser()\n"
-        "print(' '.join(m for m in ('numpy', 'rollcall.sim') if m in sys.modules))\n"
-    )
+def simulator_modules_after(code):
+    """Which of numpy and rollcall.sim a fresh interpreter holds after `code`."""
+    code += "\nimport sys\nprint(*(m for m in ('numpy', 'rollcall.sim') if m in sys.modules))\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          timeout=60, check=True)
-    assert out.stdout.strip() == ""
+    return out.stdout.splitlines()[-1]
+
+
+def test_counter_and_client_start_without_numpy():
+    code = (
+        "import rollcall, rollcall.cli, rollcall.counter, rollcall.client, rollcall.timesync\n"
+        "rollcall.cli.build_parser()"
+    )
+    assert simulator_modules_after(code) == ""
+
+
+def test_analyze_runs_without_numpy(tmp_path):
+    log = tmp_path / "done.log"
+    write_log(log, [98, 102, 100, 96, 104], 90)
+    code = (
+        "import rollcall.cli\n"
+        f"assert rollcall.cli.main(['analyze', '--log', {str(log)!r}]) == rollcall.cli.EXIT_COPING"
+    )
+    assert simulator_modules_after(code) == ""
 
 
 def test_every_public_name_is_its_module_object():

@@ -26,6 +26,7 @@ from rollcall.protocol import (
     format_config,
     parse_config,
 )
+from rollcall.timesync import SyncSample
 
 from conftest import submit
 
@@ -234,6 +235,26 @@ class TestRoundRef:
         assert core.tallies[interned].count == core.tallies[fresh].count == 1
         assert (interned, "nonce-001") in core.seen and (fresh, "nonce-001") in core.seen
         assert submit(core, Report(interned, "nonce-001", token), at) == Reject("DUP")
+
+
+# (value, a replacement its checks refuse, a replacement they accept)
+REPLACEMENTS = [
+    (RoundRef.cal(1), {"kind": "XYZ"}, {"index": 2}),
+    (Report(RoundRef.cal(0), "abcdefgh", "0" * 32), {"nonce": "a b"}, {"round": RoundRef.exe()}),
+    (Reject("DUP"), {"reason": "NOPE"}, {"reason": "LATE"}),
+    (Survey("abcdefgh", "FORGOT", ""), {"code": "NOPE"}, {"text": "popup"}),
+    (SyncSample(0, 10, 12, 4), {"t4": -1}, {"t4": 5}),
+]
+
+
+@pytest.mark.parametrize("value, bad, good", REPLACEMENTS,
+                         ids=[type(value).__name__ for value, _, _ in REPLACEMENTS])
+def test_replace_runs_the_checks(value, bad, good):
+    with pytest.raises(ValueError):
+        value._replace(**bad)
+    replaced = value._replace(**good)
+    assert type(replaced) is type(value)
+    assert replaced == type(value)(**{**value._asdict(), **good})
 
 
 CONFIG_TEXT = """

@@ -118,6 +118,16 @@ class TestNormalCdf:
     def test_open_interval(self):
         assert 0.0 < normal_cdf(-45.0) < normal_cdf(45.0) < 1.0
 
+    def test_lower_tail_keeps_relative_precision(self):
+        # an erf-based CDF underflows to 0 below z = -8.38, which the clamp
+        # above would hide; the erfc form stays precise down to z = -37
+        with mpmath.workdps(40):
+            worst = max(
+                abs(normal_cdf(z) - mpmath.ncdf(z)) / mpmath.ncdf(z)
+                for z in (-37.0 * i / 4000 for i in range(4001))
+            )
+        assert worst <= 1e-12
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             normal_cdf(float("nan"))
