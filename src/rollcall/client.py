@@ -295,19 +295,21 @@ def sync_sample(response: str, t1: int, t4: int) -> SyncSample | None:
 def sync_clock(transport: Transport, clock: Clock, samples: int) -> ClockEstimate:
     """Run `samples` four-timestamp exchanges and keep the lowest-delay one."""
     collected: list[SyncSample] = []
-    failures: Exception | None = None
+    last_failure = "no exchange ran"
     for _ in range(samples):
         t1 = clock.now_ms()
         try:
             response = transport.request(f"SYNC {t1}")
         except TransportError as exc:
-            failures = exc
+            last_failure = str(exc)
             continue
         sample = sync_sample(response, t1, clock.now_ms())
-        if sample is not None:
+        if sample is None:
+            last_failure = f"unusable answer {response!r}"
+        else:
             collected.append(sample)
     if not collected:
-        raise ClockSyncError(f"no usable sync exchange ({failures})")
+        raise ClockSyncError(f"no usable sync exchange (last: {last_failure})")
     return best_estimate(collected)
 
 

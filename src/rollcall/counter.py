@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import os
 import socket
-import socketserver
 import threading
+import time
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -348,9 +348,7 @@ def _interpret_log(events: Iterable[LogEvent]) -> _LogContent:
     return content
 
 
-def replay_events(
-    config: ExperimentConfig, events: Iterable[LogEvent], log: EventLog | None = None
-) -> CounterCore:
+def replay_events(config: ExperimentConfig, events: Iterable[LogEvent]) -> CounterCore:
     """Rebuild counter state from logged events.
 
     The log is authoritative: recorded outcomes are applied, not re-decided.
@@ -358,7 +356,7 @@ def replay_events(
     not belong to this config and raises CounterError.
     """
     content = _interpret_log(events)
-    core = CounterCore(config, log=log)
+    core = CounterCore(config)
     for round in (*content.counts, *content.closed):
         if round not in core.tallies:
             raise CounterError(f"log names round {round.wire()}, which the config lacks")
@@ -372,9 +370,11 @@ def replay_events(
 
 
 def replay_log_file(config: ExperimentConfig, path: str | Path) -> CounterCore:
-    """Recover state from a log file and keep appending to it."""
+    """Recover state from a log file and keep appending to it once it replays."""
     events = read_log(path) if Path(path).exists() else []
-    return replay_events(config, events, log=EventLog(path))
+    core = replay_events(config, events)
+    core.log = EventLog(path)
+    return core
 
 
 def log_distribution(events: Iterable[LogEvent]) -> tuple[list[int], int]:
@@ -399,88 +399,20 @@ def log_distribution(events: Iterable[LogEvent]) -> tuple[list[int], int]:
 # --- TCP service -------------------------------------------------------------
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    """Frames request lines and answers them in batches (group commit).
-
-    Each read takes what the connection has ready. Its complete lines go to
-    `CounterService.handle` in order; an over-long line goes once, as soon as
-    it is known to be over-long, and its rest is skipped. Then one
-    `EventLog.sync` covers the events they logged, and one write sends their
-    answers. A SYNC is answered on its own: the answers ahead of it are
-    committed first, and its SYNCR, which logs nothing, is written as soon as
-    it is made, without waiting for any fsync.
-    """
-
-    def handle(self) -> None:
-        self.service: CounterService = self.server.service  # type: ignore[attr-defined]
-        self.answers: list[bytes] = []  # each answers a logged request
-        pending = b""  # a line whose "\n" has not arrived yet
-        skipping = False  # inside an over-long line, discarding up to its "\n"
-        try:
-            while chunk := self.rfile.read1(READ_BYTES):
-                lines = (pending + chunk).split(b"\n")
-                pending = lines.pop()
-                for line in lines:
-                    if skipping:
-                        skipping = False
-                    else:
-                        self._request(line)
-                if skipping:
-                    pending = b""
-                elif len(pending) > MAX_LINE_BYTES:
-                    self._request(pending)
-                    pending, skipping = b"", True
-                self._commit()
-            if pending:  # a last line without "\n", then end of stream
-                self._request(pending)
-                self._commit()
-        except (BrokenPipeError, ConnectionResetError):
-            return
-        except CounterError as exc:
-            # the log stopped, or the service is stopping: no answer, and a
-            # log that stopped under a running service stops the service
-            self.service.stop(str(exc))
-
-    def _request(self, raw: bytes) -> None:
-        if raw.startswith(b"SYNC"):  # stamp a sync only once the answers ahead are sent
-            self._commit()
-        answer = self.service.handle(raw).encode("utf-8") + b"\n"
-        if answer.startswith(b"SYNCR "):
-            self.wfile.write(answer)
-        else:
-            self.answers.append(answer)
-
-    def _commit(self) -> None:
-        """Make the pending answers' events durable, then send the answers."""
-        if self.answers:
-            self.service.core.log.sync()
-            self.wfile.write(b"".join(self.answers))
-            self.answers = []
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    # socketserver listens with a backlog of 5, which a roll call's clients
-    # connecting at once overflow; the kernel then completes the handshake
-    # only on a retransmission 0.2-1 s later, and that wait lands on the up
-    # leg of each such client's first SYNC
-    request_queue_size = socket.SOMAXCONN
-    timeout = STOP_POLL_S  # of one `handle_request`
-
-
 class CounterService:
     """TCP front end: one entry per request line, durable log, rounds closed on time.
 
     The service always has a log file, replayed at start and fsynced before
-    any answer to its events. `handle` answers a request line under the
+    any answer to its events. The serving loop accepts connections and
+    serves each on its own thread. `handle` answers a request line under the
     service lock, on the thread that serves its connection; it never closes
     a round. Between accepts, at least every STOP_POLL_S, the serving loop
     closes the rounds that are due and fsyncs their CLOSEs: it is the only
     service code that closes one.
 
     `stop` ends the service from any thread or a signal handler; the serving
-    loop then closes the socket and the log. A log that stops under the
+    loop then closes the socket and the log. `shutdown` stops and closes them
+    itself, and may be called more than once. A log that stops under the
     service (a failed write or fsync) stops it too, with the reason kept in
     `error`. With `until_complete` the service stops itself once every round
     is closed, which keeps scripted runs and tests from hanging.
@@ -502,19 +434,24 @@ class CounterService:
             self.core = replay_log_file(config, log_path)
         except OSError as exc:
             raise CounterError(f"cannot open log {log_path}: {exc}") from exc
-        self._server = _Server(address, _LineHandler)
-        self._server.service = self  # type: ignore[attr-defined]
+        self._listener = socket.socket()  # not create_server, which rewords bind errors
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind(address)
+            # a small backlog overflows when a roll call's clients connect at
+            # once; the kernel then completes the handshake only on a
+            # retransmission 0.2-1 s later, and that wait lands on the up leg
+            # of each such client's first SYNC
+            self._listener.listen(socket.SOMAXCONN)
+        except OSError:
+            self._listener.close()
+            self.core.log.close()
+            raise
+        self._listener.settimeout(STOP_POLL_S)  # of one accept
+        self.address: tuple[str, int] = self._listener.getsockname()
         self.error: str | None = None  # why the log stopped the service
         # a plain flag, so a signal handler sets it without taking a lock
         self._stop_requested = False
-        self._claimed = False  # whether the serving loop has run or been skipped
-        self._claim_lock = threading.Lock()
-        self._closed = threading.Event()  # the socket and the log are closed
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
 
     def handle(self, raw: bytes) -> str:
         """Answer one request line, given without its "\\n".
@@ -542,6 +479,66 @@ class CounterService:
                 return self.core._reject_malformed(line, arrival)
             return self.core.handle_line(line, arrival, send_ms=self.clock.now_ms())
 
+    def _serve(self, conn: socket.socket) -> None:
+        """Frame request lines and answer them in batches (group commit).
+
+        Each read takes what the connection has ready. Its complete lines go to
+        `handle` in order; an over-long line goes once, as soon as it is known
+        to be over-long, and its rest is skipped. Then one `EventLog.sync`
+        covers the events they logged, and one write sends their answers. A
+        SYNC is answered on its own: the answers ahead of it are committed
+        first, and its SYNCR, which logs nothing, is written as soon as it is
+        made, without waiting for any fsync.
+        """
+        answers: list[bytes] = []  # each answers a logged request
+
+        def commit() -> None:
+            """Make the pending answers' events durable, then send the answers."""
+            if answers:
+                self.core.log.sync()
+                conn.sendall(b"".join(answers))
+                answers.clear()
+
+        def request(raw: bytes) -> None:
+            if raw.startswith(b"SYNC"):  # stamp a sync only once the answers ahead are sent
+                commit()
+            answer = self.handle(raw).encode("utf-8") + b"\n"
+            if answer.startswith(b"SYNCR "):
+                conn.sendall(answer)
+            else:
+                answers.append(answer)
+
+        pending = b""  # a line whose "\n" has not arrived yet
+        skipping = False  # inside an over-long line, discarding up to its "\n"
+        try:
+            while chunk := conn.recv(READ_BYTES):
+                lines = (pending + chunk).split(b"\n")
+                pending = lines.pop()
+                for line in lines:
+                    if skipping:
+                        skipping = False
+                    else:
+                        request(line)
+                if skipping:
+                    pending = b""
+                elif len(pending) > MAX_LINE_BYTES:
+                    request(pending)
+                    pending, skipping = b"", True
+                commit()
+            if pending:  # a last line without "\n", then end of stream
+                request(pending)
+                commit()
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        except CounterError as exc:
+            # the log stopped, or the service is stopping: no answer, and a
+            # log that stopped under a running service stops the service
+            self.stop(str(exc))
+        finally:
+            with suppress(OSError):  # so the peer reads a clean end of stream
+                conn.shutdown(socket.SHUT_WR)
+            conn.close()
+
     def _close_due(self) -> None:
         """Close and fsync the rounds that are due; stop once all are, if asked to."""
         try:
@@ -567,37 +564,38 @@ class CounterService:
             self.error = error
         self._stop_requested = True
 
-    def _claim(self) -> bool:
-        """True for the first of `serve_forever` and `shutdown` to ask."""
-        with self._claim_lock:
-            first, self._claimed = not self._claimed, True
-            return first
-
     def serve_forever(self) -> None:
         """Serve until `stop`, then close the socket and the log.
 
         Returns at once if the service was shut down before it served.
         """
-        if not self._claim():
-            return
         try:
             while not self._stop_requested:
-                self._server.handle_request()
+                try:
+                    conn = self._listener.accept()[0]
+                except TimeoutError:
+                    pass
+                except OSError:  # such as EMFILE, which an accept at once would meet again
+                    time.sleep(STOP_POLL_S)
+                else:
+                    try:
+                        threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+                    except RuntimeError:  # no thread left to serve it
+                        conn.close()
                 self._close_due()
         finally:
             self._close()
 
     def _close(self) -> None:
+        """Close the socket and the log; a second call finds both closed."""
+        self._listener.close()
         try:
-            self._server.server_close()
             # a connection still open gets no answer once a stop is asked for,
             # and under the lock no request is logged after the final fsync
             with self._lock:
                 self.core.log.close()
         except CounterError as exc:  # the final fsync failed
             self.error = self.error or str(exc)
-        finally:
-            self._closed.set()
 
     def start_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -607,6 +605,4 @@ class CounterService:
     def shutdown(self) -> None:
         """Stop and return once the socket and the log are closed."""
         self.stop()
-        if self._claim():  # never served: nothing else will close them
-            self._close()
-        self._closed.wait()
+        self._close()

@@ -280,6 +280,25 @@ class TestSyncAndSurvey:
         with pytest.raises(ClockSyncError):
             sync_clock(transport, clock, samples=3)
 
+    @pytest.mark.parametrize("answers, last", [
+        (["lost", "REJ MALFORMED"], "unusable answer 'REJ MALFORMED'"),
+        (["REJ MALFORMED", "lost"], "injected network failure"),
+    ])
+    def test_sync_failure_names_the_last_failure(self, config, answers, last):
+        clock = FakeClock()
+        transport = LoopbackTransport(CounterCore(config), clock, drop=lambda _line: True)
+        forward = transport.request
+        script = iter(answers)
+
+        def request(line):
+            answer = next(script)
+            return forward(line) if answer == "lost" else answer
+
+        transport.request = request
+        with pytest.raises(ClockSyncError) as raised:
+            sync_clock(transport, clock, samples=2)
+        assert str(raised.value) == f"no usable sync exchange (last: {last})"
+
     def test_survey_invalid_code_rejected_locally(self, config):
         clock = FakeClock()
         transport = LoopbackTransport(CounterCore(config), clock)

@@ -949,6 +949,110 @@ class TestService:
         assert answers[1:] == ["ACK CAL 0"]
         assert [e.tag for e in read_log(tmp_path / "svc.log")] == ["ACCEPT"]
 
+    def test_a_failed_start_leaves_no_fd_open(self, tmp_path):
+        config = make_config()
+        corrupt = tmp_path / "corrupt.log"
+        corrupt.write_text("0 ACCEPT not-a-report\n")
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            fds = _open_fds()
+            for _ in range(3):
+                with pytest.raises(OSError):
+                    CounterService(config, busy.getsockname(), tmp_path / "svc.log")
+                with pytest.raises(CounterError, match="corrupt"):
+                    CounterService(config, ("127.0.0.1", 0), corrupt)
+            assert _open_fds() == fds
+
+    @staticmethod
+    def _sync(service, n):
+        with socket.create_connection(service.address, timeout=5) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(f"SYNC {n}\n".encode())
+            return reader.readline()
+
+    def test_a_failed_accept_keeps_the_service_serving(self, tmp_path, monkeypatch):
+        config = make_config()
+        r0 = RoundRef.cal(0)
+        clock = FakeClock(config.window_open(r0))
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
+        real_accept = socket.socket.accept
+        failed = []
+
+        def fail_once(sock):
+            monkeypatch.setattr(socket.socket, "accept", real_accept)
+            failed.append(sock)
+            raise OSError(errno.EMFILE, "injected")
+
+        monkeypatch.setattr(socket.socket, "accept", fail_once)
+        service.start_background()
+        try:
+            assert self._sync(service, 1).startswith(b"SYNCR 1 ")
+            assert len(failed) == 1
+            clock.t = config.window_close(r0) + 1
+            deadline = time.monotonic() + 5
+            while not service.core.tallies[r0].closed:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            service.shutdown()
+
+    def test_a_failing_accept_does_not_spin(self, tmp_path, monkeypatch):
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
+        real_accept = socket.socket.accept
+        calls = []
+
+        def out_of_fds(sock):
+            calls.append(sock)
+            raise OSError(errno.EMFILE, "injected")
+
+        with socket.create_connection(service.address, timeout=5) as sock, \
+                sock.makefile("rb") as reader:
+            monkeypatch.setattr(socket.socket, "accept", out_of_fds)
+            service.start_background()
+            try:
+                time.sleep(0.5)  # a pending connection the service cannot accept
+                monkeypatch.setattr(socket.socket, "accept", real_accept)
+                sock.sendall(b"SYNC 1\n")
+                assert reader.readline().startswith(b"SYNCR 1 ")
+            finally:
+                service.shutdown()
+        assert 1 <= len(calls) <= 10
+
+    def test_a_connection_without_a_thread_is_closed(self, tmp_path, monkeypatch):
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
+        service.start_background()
+        real_start = threading.Thread.start
+
+        def fail_once(thread):
+            monkeypatch.setattr(threading.Thread, "start", real_start)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", fail_once)
+        try:
+            with socket.create_connection(service.address, timeout=5) as refused:
+                assert refused.recv(1) == b""
+            assert self._sync(service, 2).startswith(b"SYNCR 2 ")
+        finally:
+            service.shutdown()
+
+    def test_a_closed_connection_leaves_no_thread_or_fd(self, tmp_path):
+        before = set(threading.enumerate())
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
+        thread = service.start_background()
+        try:
+            fds = _open_fds()
+            for n in range(5):
+                assert self._sync(service, n).startswith(f"SYNCR {n} ".encode())
+            deadline = time.monotonic() + 5
+            while set(threading.enumerate()) - before != {thread} or _open_fds() != fds:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            service.shutdown()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
 
 def _threads_end(before, timeout_s=5):
     """Whether every thread started since `before` was taken ends in time."""
@@ -976,6 +1080,32 @@ class TestStopping:
         assert self._finishes(service.shutdown, 1)
         with pytest.raises(CounterError, match="closed"):
             service.core.log.append(0, "CLOSE", "CAL 0")
+        assert self._finishes(service.serve_forever, 1)
+
+    def test_shutdown_is_idempotent(self, tmp_path, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = set(threading.enumerate())
+        service = CounterService(make_config(), ("127.0.0.1", 0), tmp_path / "svc.log")
+        thread = service.start_background()
+        with socket.create_connection(service.address, timeout=5) as sock, \
+                sock.makefile("rb") as reader:
+            sock.sendall(b"SYNC 1\n")
+            assert reader.readline().startswith(b"SYNCR 1 ")
+            assert self._finishes(service.shutdown, 1)
+            assert self._finishes(service.shutdown, 1)
+            both = [threading.Thread(target=service.shutdown, daemon=True) for _ in range(2)]
+            for caller in both:
+                caller.start()
+            for caller in both:
+                caller.join(timeout=1)
+                assert not caller.is_alive()
+        assert _threads_end(before)
+        assert not thread.is_alive()
+        with pytest.raises(CounterError, match="closed"):
+            service.core.log.append(0, "CLOSE", "CAL 0")
+        assert service.error is None
+        assert hooked == []
         assert self._finishes(service.serve_forever, 1)
 
     def test_an_idle_service_runs_one_thread(self, tmp_path):
