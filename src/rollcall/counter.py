@@ -228,22 +228,6 @@ class CounterCore:
 
     # -- ingest ---------------------------------------------------------
 
-    def _rejection_reason(self, report: Report, arrival_ms: int) -> str | None:
-        round = report.round
-        token = self._tokens.get(round)
-        if report.token != (token or derive_token(self.config.secret, round)):
-            return "BADTOKEN"
-        tally = self.tallies.get(round)
-        if tally is None:
-            return "BADROUND"
-        if arrival_ms < tally.window_open_ms:
-            return "EARLY"
-        if arrival_ms > tally.window_close_ms or tally.closed:
-            return "LATE"
-        if (round, report.nonce) in self.seen:
-            return "DUP"
-        return None
-
     def handle_line(self, line: str, arrival_ms: int, send_ms: int | None = None) -> str:
         """Decode and dispatch one inbound line; always returns a response line."""
         try:
@@ -252,15 +236,26 @@ class CounterCore:
             return self._reject_malformed(line, arrival_ms)
         # a report or survey is logged as received, not encoded again
         if isinstance(msg, Report):  # the most frequent line, so tested first
-            reason = self._rejection_reason(msg, arrival_ms)
-            if reason is not None:
-                self.log.append(arrival_ms, TAG_REJECT, line)
-                return self._reject_lines[reason]
-            self.log.append(arrival_ms, TAG_ACCEPT, line)
-            round = msg.round
-            self.seen.add((round, msg.nonce))
-            self.tallies[round].count += 1
-            return self._ack_lines[round]
+            round, nonce, token = msg
+            tally = self.tallies.get(round)
+            key = (round, nonce)
+            if token != (self._tokens.get(round) or derive_token(self.config.secret, round)):
+                reason = "BADTOKEN"
+            elif tally is None:
+                reason = "BADROUND"
+            elif arrival_ms < tally.window_open_ms:
+                reason = "EARLY"
+            elif arrival_ms > tally.window_close_ms or tally.closed:
+                reason = "LATE"
+            elif key in self.seen:
+                reason = "DUP"
+            else:
+                self.log.append(arrival_ms, TAG_ACCEPT, line)
+                self.seen.add(key)
+                tally.count += 1
+                return self._ack_lines[round]
+            self.log.append(arrival_ms, TAG_REJECT, line)
+            return self._reject_lines[reason]
         if isinstance(msg, SyncRequest):
             t3 = arrival_ms if send_ms is None else send_ms
             return encode_message(SyncResponse(msg.t1, arrival_ms, t3))

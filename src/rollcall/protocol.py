@@ -160,8 +160,9 @@ def _check_nonce(nonce: str) -> None:
 
 # Each message is a named tuple checked in `__new__`, like RoundRef. It compares
 # as the tuple of its fields, so equal fields of two types compare equal. Only
-# the decoder builds messages with `_make`, which skips the checks: each verb's
-# pattern is built from the very field patterns the checks use.
+# the decoder builds messages with `tuple.__new__`, which skips the checks: each
+# verb's pattern is built from the very field patterns the checks use, and it
+# fixes the number of fields, which `_make` would count again.
 
 
 class SyncRequest(namedtuple("SyncRequest", "t1")):
@@ -302,17 +303,22 @@ _INT = _INT_RE.pattern
 _ROUND = _ROUND_RE.pattern
 # verb -> (pattern of the rest of the line, constructor from the pattern's groups)
 _GRAMMAR: dict[str, tuple[re.Pattern[str], Callable[[tuple[str, ...]], Message]]] = {
-    "SYNC": (_fields(_INT), lambda groups: SyncRequest._make(map(int, groups))),
-    "SYNCR": (_fields(_INT, _INT, _INT), lambda groups: SyncResponse._make(map(int, groups))),
+    "SYNC": (_fields(_INT), lambda groups: tuple.__new__(SyncRequest, map(int, groups))),
+    "SYNCR": (
+        _fields(_INT, _INT, _INT),
+        lambda groups: tuple.__new__(SyncResponse, map(int, groups)),
+    ),
     "REPORT": (
         _fields(_ROUND, _NONCE_RE.pattern, _TOKEN_RE.pattern),
-        lambda groups: Report._make((_round_ref(groups[0]), groups[1], groups[2])),
+        lambda groups: tuple.__new__(Report, (_round_ref(groups[0]), groups[1], groups[2])),
     ),
-    "ACK": (_fields(_ROUND), lambda groups: Ack._make((_round_ref(groups[0]),))),
-    "REJ": (_fields(_one_of(REJECT_REASONS)), Reject._make),
+    "ACK": (_fields(_ROUND), lambda groups: tuple.__new__(Ack, (_round_ref(groups[0]),))),
+    "REJ": (_fields(_one_of(REJECT_REASONS)), lambda groups: tuple.__new__(Reject, groups)),
     "SURVEY": (
         _fields(_NONCE_RE.pattern, _one_of(SURVEY_CODES), r"\S+"),
-        lambda groups: Survey._make((groups[0], groups[1], decode_survey_text(groups[2]))),
+        lambda groups: tuple.__new__(
+            Survey, (groups[0], groups[1], decode_survey_text(groups[2]))
+        ),
     ),
 }
 

@@ -18,6 +18,7 @@ M never reshuffles existing clients.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple
@@ -166,7 +167,11 @@ class VirtualNet:
     A hop costs only what the run asks of it: without a trace no trace line
     is formatted and a reply calls its client back directly, and a net that
     cannot drop (no loss probability, no loss burst) never asks `_lost`, the
-    one drop decision.
+    one drop decision. Without a trace on a net that neither drops nor
+    duplicates, each REPORT answer is judged with `report_step` as it is
+    delivered, and only a RETRY calls its client back: each request then gets
+    exactly one answer and no poll timer runs, so nothing reads what a DONE
+    or GIVE_UP answer would settle.
     """
 
     def __init__(
@@ -185,6 +190,7 @@ class VirtualNet:
         self.counter_handler = counter_handler
         self.trace = trace
         self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
+        self.judges_reports = trace is None and not self.can_drop and not faults.duplicate_reports
         self._lat_buf: list[int] = []
         self._loss_buf: list[float] = []
 
@@ -233,10 +239,14 @@ class VirtualNet:
                 trace.append(f"{now} DROP-REPLY {response}")
             return
         at = now + (self._lat_buf or self._latencies()).pop()
-        if trace is None:
-            self.loop.schedule(at, on_response, response, *ctx)
-        else:
+        if trace is not None:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
+        elif (
+            not self.judges_reports
+            or not line.startswith("REPORT ")
+            or report_step(response) is ReportStep.RETRY
+        ):
+            self.loop.schedule(at, on_response, response, *ctx)
 
     def _reply(self, response: str, on_response: Callable[..., None], ctx: tuple) -> None:
         self.trace.append(f"{self.loop.now} REPLY {response}")  # type: ignore[union-attr]
@@ -338,34 +348,27 @@ class SimClient:
     """One scripted participant walking the real round lifecycle."""
 
     def __init__(
-        self, sim: "Simulation", index: int, participates: list[bool], jitter: list[int]
+        self, sim: "Simulation", index: int, participates: list[bool], send_at: list[int]
     ) -> None:
         self.sim = sim
         self.index = index
         self.nonce = f"sim-{index:08d}"
         _check_nonce(self.nonce)  # so that every REPORT line built from it is valid
         spec = sim.spec
-        self.participates, self.jitter = participates, jitter
+        # per round: whether it reports, and at what estimated counter time
+        self.participates, self.send_at = participates, send_at
         self.true_offset = sim.clock_offsets.get(index, 0)  # add to local clock for counter time
         self.synced = index not in spec.faults.unsynced and spec.sync_samples > 0
         self.offset_est: int | None = None if self.synced else 0
         self._sync_samples: list[SyncSample] = []
         self._sync_attempts = 0
         self._settled: set[int] = set()  # columns of rounds acknowledged or given up
-
-    # clock conversions ----------------------------------------------------
+        # the true offset less the estimated one, once synced: the virtual time
+        # at which the client thinks counter time t has come is t + skew
+        self.skew = 0
 
     def _local_now(self) -> int:
         return self.sim.loop.now - self.true_offset
-
-    def _est_counter_now(self) -> int:
-        assert self.offset_est is not None
-        return self._local_now() + self.offset_est
-
-    def _true_time_for(self, counter_target_ms: int) -> int:
-        # act when the local clock says the (estimated) counter time arrived
-        assert self.offset_est is not None
-        return counter_target_ms - self.offset_est + self.true_offset
 
     # sync -------------------------------------------------------------------
 
@@ -418,29 +421,22 @@ class SimClient:
     # rounds ------------------------------------------------------------------
 
     def _schedule_rounds(self) -> None:
-        margin = self.sim.spec.send_margin_ms
+        assert self.offset_est is not None
+        self.skew = skew = self.true_offset - self.offset_est
         schedule = self.sim.loop.schedule
-        for plan, participates, jitter in zip(self.sim.plans, self.participates, self.jitter):
-            if not participates:
-                continue
-            when = self._true_time_for(plan.window_open + margin + jitter)
-            first = self._attempt_execution if plan.round.is_execution else self._try_send
-            schedule(when, first, plan)
+        for plan, participates, send_at in zip(self.sim.plans, self.participates, self.send_at):
+            if participates:
+                first = self._attempt_execution if plan.round.is_execution else self._try_send
+                schedule(send_at + skew, first, plan)
 
     def _attempt_execution(self, plan: _RoundPlan) -> None:
-        config = self.sim.spec.config
-        skew = self.true_offset - (self.offset_est or 0)
-        records = [
-            UptimeRecord("DOWN", config.t_star_ms + skew - SHUTDOWN_SLACK_MS),
-            UptimeRecord("UP", config.t_star_ms + config.delta_tau_ms + skew + SHUTDOWN_SLACK_MS),
-        ]
-        if certify_shutdown(records, config):
+        if self.sim._shutdown_certified(self.skew):
             self._try_send(plan)
 
     def _try_send(self, plan: _RoundPlan) -> None:
         if plan.column in self._settled:
             return
-        if self._est_counter_now() > plan.window_close:
+        if self.sim.loop.now - self.skew > plan.window_close:  # by its estimate of counter time
             self._settled.add(plan.column)
             return
         sim = self.sim
@@ -467,6 +463,7 @@ class Simulation:
         self.counter = CounterCore(spec.config)
         self.plans = list(_round_plans(spec.config))
         self.sync_offsets: dict[int, int] = {}
+        self._certified: dict[int, bool] = {}  # `certify_shutdown` per clock skew
         # each client's true clock offset; reversed, so the first entry for an index wins
         self.clock_offsets = dict(reversed(spec.faults.clock_offsets))
         net_rng = np.random.Generator(
@@ -481,11 +478,42 @@ class Simulation:
             close_at = plan.window_close + 1
             self.loop.schedule(close_at, self.counter.close_due, close_at)
 
+    def _shutdown_certified(self, skew: int) -> bool:
+        """Whether a client whose clock runs `skew` ms off certifies its shutdown.
+
+        Its simulated uptime records cover the shutdown window, read on its
+        own clock, plus SHUTDOWN_SLACK_MS each side; the answer depends only
+        on the skew, so it is computed once per distinct skew.
+        """
+        certified = self._certified.get(skew)
+        if certified is None:
+            config = self.spec.config
+            down_at = config.t_star_ms + skew - SHUTDOWN_SLACK_MS
+            up_at = config.t_star_ms + config.delta_tau_ms + skew + SHUTDOWN_SLACK_MS
+            records = [UptimeRecord("DOWN", down_at), UptimeRecord("UP", up_at)]
+            certified = self._certified[skew] = certify_shutdown(records, config)
+        return certified
+
     def run(self) -> tuple[list[int], int]:
-        rows = zip(*(matrix.tolist() for matrix in _client_draws(self.spec)))
-        for index, (participates, jitter) in enumerate(rows):
-            SimClient(self, index, participates, jitter).start()
-        self.loop.run()
+        """Start every client and run the event loop to the end.
+
+        The cyclic collector is paused meanwhile, and restored as it was found:
+        a run makes no reference cycles, so each collection would only walk
+        its live objects and free nothing.
+        """
+        participates, jitter = _client_draws(self.spec)
+        margin = self.spec.send_margin_ms
+        opens = np.array([plan.window_open + margin for plan in self.plans], np.int64)
+        rows = zip(participates.tolist(), (jitter + opens).tolist())
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for index, row in enumerate(rows):
+                SimClient(self, index, *row).start()
+            self.loop.run()
+        finally:
+            if enabled:
+                gc.enable()
         counts, n_star = self.counter.distribution()
         assert n_star is not None  # the close event for the execution round always ran
         return counts, n_star

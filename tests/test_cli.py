@@ -364,27 +364,28 @@ class TestLiveSubcommands:
         port = port_probe.getsockname()[1]
         port_probe.close()
 
-        counter = subprocess.Popen(
+        # leaving the `with` closes both pipes and reaps the process
+        with subprocess.Popen(
             [sys.executable, "-m", "rollcall.cli", "counter",
              "--listen", f"127.0.0.1:{port}", "--config", str(conf),
              "--log", str(log), "--until-complete"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            assert "listening" in counter.stdout.readline()
-            client = subprocess.run(
-                [sys.executable, "-m", "rollcall.cli", "client",
-                 "--config", str(conf), "--counter", f"127.0.0.1:{port}",
-                 "--uptime", str(uptime), "--nonce", "cli-client-1",
-                 "--assume-yes", "--prompt-lead-ms", "500", "--sync-samples", "2"],
-                capture_output=True, text=True, timeout=40,
-            )
-            assert client.returncode == EXIT_OK, client.stderr
-            assert "experiment complete" in client.stdout
-            assert counter.wait(timeout=20) == EXIT_OK
-        finally:
-            if counter.poll() is None:
-                counter.kill()
+        ) as counter:
+            try:
+                assert "listening" in counter.stdout.readline()
+                client = subprocess.run(
+                    [sys.executable, "-m", "rollcall.cli", "client",
+                     "--config", str(conf), "--counter", f"127.0.0.1:{port}",
+                     "--uptime", str(uptime), "--nonce", "cli-client-1",
+                     "--assume-yes", "--prompt-lead-ms", "500", "--sync-samples", "2"],
+                    capture_output=True, text=True, timeout=40,
+                )
+                assert client.returncode == EXIT_OK, client.stderr
+                assert "experiment complete" in client.stdout
+                assert counter.wait(timeout=20) == EXIT_OK
+            finally:
+                if counter.poll() is None:
+                    counter.kill()
         counts, n_star = log_distribution(read_log(log))
         assert counts == [1, 1]
         assert n_star == 1

@@ -170,7 +170,7 @@ def test_decoded_messages_are_checked_values_of_their_own_type(line, other_line)
         msg = decode_message(line)
     except MalformedLine:
         return
-    # the decoder builds with `_make`, skipping the checks its patterns made;
+    # the decoder builds with `tuple.__new__`, skipping the checks its patterns made;
     # the checked constructor is the oracle
     assert _typed(type(msg)(*msg)) == _typed(msg)
     if type(msg) is not type(other):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import heapq
 import itertools
@@ -256,6 +257,118 @@ class TestHopWork:
         assert RoundRef.exe() == config.rounds()[-1] == decoded
         assert hash(RoundRef.exe()) == hash(config.rounds()[-1]) == hash(decoded)
         assert protocol.decode_message("ACK EXE 0").round is decoded
+
+
+@st.composite
+def reply_specs(draw):
+    """Specs that draw EARLY answers (negative margins), LATE ones (short grace),
+    clock faults, and nets with and without drops and duplicates."""
+    m = draw(st.integers(1, 40))
+    low = draw(st.integers(0, 60))
+    clients = st.integers(0, m - 1)
+    offsets = draw(st.lists(st.tuples(clients, st.integers(-3_000, 3_000)), max_size=4))
+    return ScenarioSpec(
+        m_clients=m,
+        p_participate=draw(st.floats(0.2, 1.0)),
+        delta=0.0,
+        scenario=DEFENSE,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        config=default_sim_config(
+            n_rounds=draw(st.integers(2, 4)), grace_ms=draw(st.integers(50, 2_000))
+        ),
+        net=NetModel(
+            min_latency_ms=low,
+            max_latency_ms=low + draw(st.integers(0, 100)),
+            loss_prob=draw(st.sampled_from([0.0, 0.1])),
+            asym_up_ms=draw(st.integers(0, 50)),
+        ),
+        faults=FaultPlan(
+            duplicate_reports=draw(st.booleans()),
+            clock_offsets=tuple(offsets),
+            unsynced=frozenset(draw(st.lists(clients, max_size=3))),
+        ),
+        sync_samples=draw(st.integers(0, 3)),
+        send_margin_ms=draw(st.integers(-300, 300)),
+        send_jitter_ms=draw(st.integers(0, 100)),
+        retry_ms=draw(st.integers(50, 400)),
+    )
+
+
+class TestReplyFastPath:
+    """Untraced on a net that neither drops nor duplicates, a REPORT answer is
+    judged at delivery and only a RETRY becomes an event; the traced run,
+    which keeps every reply event, is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reply_specs())
+    def test_an_untraced_run_equals_the_traced_run(self, spec):
+        traced = run_scenario(spec)
+        untraced = run_scenario(spec, capture_trace=False)
+        assert untraced.counts == traced.counts
+        assert untraced.n_star == traced.n_star
+        assert untraced.counter_log == traced.counter_log
+        assert untraced.sync_offsets == traced.sync_offsets
+
+    def test_only_a_retry_calls_the_client_back(self, monkeypatch):
+        answers = []
+        real = sim.SimClient._on_answer
+        monkeypatch.setattr(
+            sim.SimClient, "_on_answer",
+            lambda client, response, plan: answers.append(response) or real(client, response, plan),
+        )
+        run_scenario(small_spec(), capture_trace=False)
+        assert answers == []
+        early = small_spec(send_margin_ms=-100)
+        traced = run_scenario(early)
+        replies = [line.split(" ", 2)[2] for line in traced.event_trace if line.split()[1] == "REPLY"]
+        report_answers = [line for line in replies if not line.startswith("SYNCR ")]
+        assert answers == report_answers  # a traced run calls back once per REPORT answer
+        assert "ACK CAL 0" in answers and "REJ EARLY" in answers
+        answers.clear()
+        untraced = run_scenario(early, capture_trace=False)
+        assert answers == ["REJ EARLY"] * report_answers.count("REJ EARLY")
+        assert (untraced.counts, untraced.n_star) == (traced.counts, traced.n_star)
+
+
+class TestCollector:
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.fixture(params=["mc-clean", "mc-faulty"])
+    def spec(self, request, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import mcload
+
+        return mcload.SPECS[request.param](mcload.DEFAULT_SEED, m_clients=300)
+
+    def test_a_run_leaves_the_collector_as_it_found_it(self, spec, monkeypatch):
+        for enabled in (True, False, True):
+            gc.enable() if enabled else gc.disable()
+            run_scenario(spec, capture_trace=False)
+            assert gc.isenabled() is enabled
+
+        def fail(loop):
+            raise RuntimeError("event loop failed")
+
+        monkeypatch.setattr(sim.EventLoop, "run", fail)
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(RuntimeError, match="event loop failed"):
+                run_scenario(spec, capture_trace=False)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("capture_trace", [False, True], ids=["untraced", "traced"])
+    def test_a_run_leaves_no_cycles(self, spec, capture_trace):
+        gc.collect()
+        gc.disable()
+        run_scenario(spec, capture_trace=capture_trace)
+        assert gc.collect() == 0
 
 
 @st.composite
