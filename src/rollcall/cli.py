@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from . import client as client_mod
 from . import counter as counter_mod
 from . import stats
-from .protocol import ConfigError, ExperimentConfig, RoundRef, _parse_int, load_config
+from .protocol import ConfigError, ExperimentConfig, RoundRef, _check_nonce, _parse_int, load_config
 from .timesync import SystemClock
 
 if TYPE_CHECKING:
@@ -53,6 +53,14 @@ def _at_least_one(text: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return number
+
+
+def _nonce(text: str) -> str:
+    try:
+        _check_nonce(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+    return text
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -164,7 +172,7 @@ def cmd_client(args: argparse.Namespace) -> int:
     options = client_mod.ClientOptions(
         prompt_lead_ms=args.prompt_lead_ms, sync_samples=args.sync_samples
     )
-    if args.nonce:
+    if args.nonce is not None:
         options.nonce = args.nonce
     if args.assume_yes:
         consent: client_mod.ConsentFn = lambda _round, _deadline: True
@@ -350,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument("--counter", type=_parse_address, required=True, metavar="HOST:PORT")
     p_client.add_argument("--activity", help="activity events file (one ms timestamp per line)")
     p_client.add_argument("--uptime", help="uptime records file (DOWN/UP <ms> lines)")
-    p_client.add_argument("--nonce", help="stable client identifier override")
+    p_client.add_argument("--nonce", type=_nonce, help="stable client identifier override")
     p_client.add_argument(
         "--prompt-lead-ms", type=_integer, default=client_mod.DEFAULT_PROMPT_LEAD_MS
     )

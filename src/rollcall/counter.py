@@ -34,6 +34,7 @@ from .protocol import (
     Ack,
     ExperimentConfig,
     MalformedLine,
+    Message,
     Reject,
     Report,
     RoundRef,
@@ -228,12 +229,20 @@ class CounterCore:
 
     # -- ingest ---------------------------------------------------------
 
-    def handle_line(self, line: str, arrival_ms: int, send_ms: int | None = None) -> str:
-        """Decode and dispatch one inbound line; always returns a response line."""
-        try:
-            msg = decode_message(line)
-        except MalformedLine:
-            return self._reject_malformed(line, arrival_ms)
+    def handle_line(
+        self, line: str, arrival_ms: int, send_ms: int | None = None, msg: Message | None = None
+    ) -> str:
+        """Decode and dispatch one inbound line; always returns a response line.
+
+        A caller that built `line` from a message may pass it as `msg`, which
+        must equal `decode_message(line)`; the line is then not decoded again,
+        and the answer, the log and the state are the same.
+        """
+        if msg is None:
+            try:
+                msg = decode_message(line)
+            except MalformedLine:
+                return self._reject_malformed(line, arrival_ms)
         # a report or survey is logged as received, not encoded again
         if isinstance(msg, Report):  # the most frequent line, so tested first
             round, nonce, token = msg

@@ -159,10 +159,12 @@ def _check_nonce(nonce: str) -> None:
 
 
 # Each message is a named tuple checked in `__new__`, like RoundRef. It compares
-# as the tuple of its fields, so equal fields of two types compare equal. Only
-# the decoder builds messages with `tuple.__new__`, which skips the checks: each
+# as the tuple of its fields, so equal fields of two types compare equal. The
+# decoder builds messages with `tuple.__new__`, which skips the checks: each
 # verb's pattern is built from the very field patterns the checks use, and it
-# fixes the number of fields, which `_make` would count again.
+# fixes the number of fields, which `_make` would count again. The simulated
+# client builds its REPORTs so too: its nonce is checked once per client, and
+# each token is cut from a checked Report.
 
 
 class SyncRequest(namedtuple("SyncRequest", "t1")):

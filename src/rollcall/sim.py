@@ -165,13 +165,16 @@ class VirtualNet:
     """Latency/loss model between all clients and the counter.
 
     A hop costs only what the run asks of it: without a trace no trace line
-    is formatted and a reply calls its client back directly, and a net that
-    cannot drop (no loss probability, no loss burst) never asks `_lost`, the
-    one drop decision. Without a trace on a net that neither drops nor
-    duplicates, each REPORT answer is judged with `report_step` as it is
-    delivered, and only a RETRY calls its client back: each request then gets
-    exactly one answer and no poll timer runs, so nothing reads what a DONE
-    or GIVE_UP answer would settle.
+    is formatted, a reply calls its client back directly, and a REPORT
+    reaches the counter with the `Report` its line was built from, so the
+    counter does not decode it again; with a trace the counter decodes every
+    line, and that run is the reference. A net that cannot drop (no loss
+    probability, no loss burst) never asks `_lost`, the one drop decision.
+    Without a trace on a net that neither drops nor duplicates, each REPORT
+    answer is judged with `report_step` as it is delivered, and only a RETRY
+    calls its client back: each request then gets exactly one answer and no
+    poll timer runs, so nothing reads what a DONE or GIVE_UP answer would
+    settle.
     """
 
     def __init__(
@@ -180,7 +183,7 @@ class VirtualNet:
         rng: np.random.Generator,
         net: NetModel,
         faults: FaultPlan,
-        counter_handler: Callable[[str, int], str],
+        counter_handler: Callable[[str, int, int | None, Report | None], str],
         trace: list[str] | None,
     ) -> None:
         self.loop = loop
@@ -215,11 +218,18 @@ class VirtualNet:
             self._loss_buf = self.rng.random(size=self._BUF).tolist()
         return self._loss_buf.pop() < self.net.loss_prob
 
-    def request(self, line: str, on_response: Callable[..., None], *ctx: object) -> None:
-        """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered."""
+    def request(
+        self, line: str, on_response: Callable[..., None], *ctx: object, msg: Report | None = None
+    ) -> None:
+        """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered.
+
+        `msg`, if given, is `line` decoded; an untraced delivery hands it to the
+        counter along with the line, and a traced one lets the counter decode.
+        """
         now, trace = self.loop.now, self.trace
         if trace is not None:
             trace.append(f"{now} SEND {line}")
+            msg = None
         copies = 2 if self.faults.duplicate_reports and line.startswith("REPORT ") else 1
         for _ in range(copies):
             if self.can_drop and self._lost(now):
@@ -227,13 +237,15 @@ class VirtualNet:
                     trace.append(f"{now} DROP {line}")
                 continue
             up = (self._lat_buf or self._latencies()).pop() + self.net.asym_up_ms
-            self.loop.schedule(now + up, self._deliver, line, on_response, ctx)
+            self.loop.schedule(now + up, self._deliver, line, on_response, ctx, msg)
 
-    def _deliver(self, line: str, on_response: Callable[..., None], ctx: tuple) -> None:
+    def _deliver(
+        self, line: str, on_response: Callable[..., None], ctx: tuple, msg: Report | None
+    ) -> None:
         now, trace = self.loop.now, self.trace
         if trace is not None:
             trace.append(f"{now} DELIVER {line}")
-        response = self.counter_handler(line, now)
+        response = self.counter_handler(line, now, None, msg)
         if self.can_drop and self._lost(now):
             if trace is not None:
                 trace.append(f"{now} DROP-REPLY {response}")
@@ -440,7 +452,10 @@ class SimClient:
             self._settled.add(plan.column)
             return
         sim = self.sim
-        sim.net.request(f"{plan.head} {self.nonce} {plan.token}", self._on_answer, plan)
+        # the nonce was checked once and the token cut from a real Report, so
+        # the message skips the checks, as the decoder's do
+        report = tuple.__new__(Report, (plan.round, self.nonce, plan.token))
+        sim.net.request(f"{plan.head} {self.nonce} {plan.token}", self._on_answer, plan, msg=report)
         if sim.net.can_drop:
             # a lost request or reply never answers; poll until the window closes
             retry_at = sim.loop.now + sim.spec.retry_ms + 2 * sim.spec.net.max_latency_ms

@@ -343,6 +343,18 @@ def test_integer_flags_take_the_integer_grammar(capsys, command, flag):
         assert "_parse_int" not in stderr, bad
 
 
+@pytest.mark.parametrize("nonce", ["c000000", "", "two words", "n" * 65, "tab\tnonce"])
+def test_a_bad_nonce_is_a_usage_error(capsys, nonce):
+    required = ["client", "--config", "c.conf", "--counter", "h:1"]
+    assert build_parser().parse_args([*required, "--nonce", "cli-client-1"]).nonce == "cli-client-1"
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([*required, "--nonce", nonce])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "usage:" in stderr and "--nonce" in stderr and "8-64 characters" in stderr
+    assert "Traceback" not in stderr
+
+
 class TestLiveSubcommands:
     def test_counter_and_client_processes(self, tmp_path):
         """Two real processes complete a compressed schedule end to end."""
@@ -359,20 +371,10 @@ class TestLiveSubcommands:
             f"DOWN {config.t_star_ms - 300}\nUP {config.t_star_ms + config.delta_tau_ms + 300}\n"
         )
         log = tmp_path / "counter.log"
-        port_probe = socket.socket()
-        port_probe.bind(("127.0.0.1", 0))
-        port = port_probe.getsockname()[1]
-        port_probe.close()
-
+        counter, port = spawn_counter(conf, log, extra_args=["--until-complete"])
         # leaving the `with` closes both pipes and reaps the process
-        with subprocess.Popen(
-            [sys.executable, "-m", "rollcall.cli", "counter",
-             "--listen", f"127.0.0.1:{port}", "--config", str(conf),
-             "--log", str(log), "--until-complete"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        ) as counter:
+        with counter:
             try:
-                assert "listening" in counter.stdout.readline()
                 client = subprocess.run(
                     [sys.executable, "-m", "rollcall.cli", "client",
                      "--config", str(conf), "--counter", f"127.0.0.1:{port}",
@@ -391,9 +393,10 @@ class TestLiveSubcommands:
         assert n_star == 1
 
 
-def spawn_counter(conf, log, python_code=None):
+def spawn_counter(conf, log, python_code=None, extra_args=()):
     """A `rollcall counter` process on a free port, once it has said it listens."""
-    args = ["counter", "--listen", "127.0.0.1:0", "--config", str(conf), "--log", str(log)]
+    args = ["counter", "--listen", "127.0.0.1:0", "--config", str(conf), "--log", str(log),
+            *extra_args]
     if python_code is None:
         cmd = [sys.executable, "-m", "rollcall.cli", *args]
     else:

@@ -30,6 +30,7 @@ from rollcall.protocol import (
     Ack,
     Reject,
     Report,
+    SURVEY_CODES,
     RoundRef,
     Survey,
     decode_message,
@@ -160,6 +161,31 @@ class TestRoundLifecycle:
         assert core.all_closed()
 
 
+@st.composite
+def counter_steps(draw):
+    """Reports (off-schedule rounds, bad tokens, repeated nonces, arrivals on
+    both edges of each window), surveys and round closes, for `make_config()`."""
+    config = make_config()
+    length = config.window_close(RoundRef.cal(0)) - config.window_open(RoundRef.cal(0))
+    nonces = st.sampled_from(["nonce-01", "nonce-02", "stranger"])
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(["report", "survey", "close"]), max_size=30)):
+        index = draw(st.integers(0, 5))  # 3 = the execution round, 4 and 5 off-schedule
+        round = RoundRef.exe() if index == 3 else RoundRef.cal(index)
+        edge = draw(st.sampled_from([-1, 0, length, length + 1]))
+        at = config.window_open(round) + draw(st.just(edge) | st.integers(-20_000, 120_000))
+        if kind == "report":
+            token = derive_token(config.secret, round) if draw(st.booleans()) else "0" * 32
+            steps.append(("line", encode_message(Report(round, draw(nonces), token)), at))
+        elif kind == "survey":
+            survey = Survey(draw(nonces), draw(st.sampled_from(sorted(SURVEY_CODES))),
+                            draw(st.text(max_size=8)))
+            steps.append(("line", encode_message(survey), at))
+        else:
+            steps.append(("close", None, at))
+    return steps
+
+
 class TestHandleLine:
     def test_sync_answered_not_logged(self, config):
         core = CounterCore(config)
@@ -180,6 +206,21 @@ class TestHandleLine:
         r0 = RoundRef.cal(0)
         line = encode_message(report_for(config, r0, "nonce-01"))
         assert core.handle_line(line, config.window_open(r0)) == "ACK CAL 0"
+
+    @settings(deadline=None, max_examples=150)
+    @given(counter_steps())
+    def test_a_decoded_message_changes_nothing(self, steps):
+        """Passing `decode_message(line)` along skips the decode, not a decision."""
+        config = make_config()
+        given_msg, decoding = CounterCore(config), CounterCore(config)
+        for kind, line, at in steps:
+            if kind == "close":
+                assert given_msg.close_due(at) == decoding.close_due(at)
+            else:
+                answer = given_msg.handle_line(line, at, msg=decode_message(line))
+                assert answer == decoding.handle_line(line, at)
+        assert given_msg.log.lines == decoding.log.lines
+        assert _state(given_msg) == _state(decoding)
 
 
 class TestSurveys:

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,6 +245,45 @@ class TestHopWork:
         assert sends == deliveries > 2 * len(spec.config.rounds())  # a clean run drops nothing
         # once per round for the REPORT parts; a delivered line was checked by its pattern
         assert 0 < len(checked) <= len(spec.config.rounds())
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(net=NetModel(loss_prob=0.2), faults=FaultPlan(duplicate_reports=True)),
+    ], ids=["clean", "lossy-duplicating"])
+    def test_only_a_traced_run_decodes_reports(self, spec, monkeypatch):
+        decoded = []
+        real = counter_mod.decode_message
+        monkeypatch.setattr(
+            counter_mod, "decode_message",
+            lambda line: line.startswith("REPORT ") and decoded.append(line) or real(line),
+        )
+        untraced = run_scenario(spec, capture_trace=False)
+        assert decoded == []
+        assert sum(" ACCEPT REPORT " in line for line in untraced.counter_log) > 0
+        traced = run_scenario(spec)
+        events = [line.split(" ", 2)[1:] for line in traced.event_trace]
+        deliveries = [
+            line for kind, line in events if kind == "DELIVER" and line.startswith("REPORT ")
+        ]
+        assert decoded == deliveries  # the reference decodes once per delivery
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 80), st.from_regex(protocol._NONCE_RE, fullmatch=True))
+    def test_the_report_sent_is_its_line_decoded(self, n_rounds, nonce):
+        simulation = Simulation(small_spec(config=default_sim_config(n_rounds=n_rounds)))
+        sent = []
+        simulation.net = SimpleNamespace(
+            can_drop=False, request=lambda line, *_ctx, msg: sent.append((line, msg))
+        )
+        client = sim.SimClient(simulation, 0, [], [])
+        client.nonce = nonce
+        for plan in simulation.plans:
+            client._try_send(plan)
+        assert len(sent) == len(simulation.plans)
+        for plan, (line, msg) in zip(simulation.plans, sent):
+            assert line == f"{plan.head} {nonce} {plan.token}"
+            assert type(msg) is protocol.Report
+            assert msg == protocol.decode_message(line)
 
     def test_rounds_are_one_value_from_every_source(self):
         config = small_spec().config
