@@ -21,7 +21,15 @@ from typing import TYPE_CHECKING
 from . import client as client_mod
 from . import counter as counter_mod
 from . import stats
-from .protocol import ConfigError, ExperimentConfig, RoundRef, _check_nonce, _parse_int, load_config
+from .protocol import (
+    SURVEY_CODES,
+    ConfigError,
+    ExperimentConfig,
+    RoundRef,
+    _check_nonce,
+    _parse_int,
+    load_config,
+)
 from .timesync import SystemClock
 
 if TYPE_CHECKING:
@@ -133,20 +141,15 @@ def _terminal_consent(round: RoundRef, deadline_local_ms: int) -> bool:
     return answer in ("y", "yes")
 
 
-def _make_terminal_survey() -> client_mod.SurveyFn:
-    from .protocol import SURVEY_CODES
-
-    def ask() -> tuple[str, str] | None:
-        print(f"the shutdown was not certified; why? one of {', '.join(sorted(SURVEY_CODES))}")
-        print("code (empty to skip): ", end="", flush=True)
-        code = sys.stdin.readline().strip().upper()
-        if not code or code not in SURVEY_CODES:
-            return None
-        print("free text (one line, may be empty): ", end="", flush=True)
-        text = sys.stdin.readline().rstrip("\n")
-        return code, text
-
-    return ask
+def _terminal_survey() -> tuple[str, str] | None:
+    print(f"the shutdown was not certified; why? one of {', '.join(sorted(SURVEY_CODES))}")
+    print("code (empty to skip): ", end="", flush=True)
+    code = sys.stdin.readline().strip().upper()
+    if not code or code not in SURVEY_CODES:
+        return None
+    print("free text (one line, may be empty): ", end="", flush=True)
+    text = sys.stdin.readline().rstrip("\n")
+    return code, text
 
 
 def cmd_client(args: argparse.Namespace) -> int:
@@ -178,7 +181,7 @@ def cmd_client(args: argparse.Namespace) -> int:
         consent: client_mod.ConsentFn = lambda _round, _deadline: True
     else:
         consent = _terminal_consent
-    survey = None if args.assume_yes else _make_terminal_survey()
+    survey = None if args.assume_yes else _terminal_survey
     runner = client_mod.ClientRunner(
         config,
         transport,

@@ -49,6 +49,7 @@ from .timesync import (
 DEFAULT_PROMPT_LEAD_MS = 120_000
 DEFAULT_START_TOL_MS = 60_000
 SYNC_ATTEMPTS = 5
+SURVEY_RETRIES = 3  # a lost survey is sent again this many times
 REQUEST_TIMEOUT_S = 5.0
 
 
@@ -313,12 +314,10 @@ def sync_clock(transport: Transport, clock: Clock, samples: int) -> ClockEstimat
     return best_estimate(collected)
 
 
-def run_survey(
-    transport: Transport, nonce: str, code: str, text: str, retries: int = 3
-) -> bool:
+def run_survey(transport: Transport, nonce: str, code: str, text: str) -> bool:
     """Send one questionnaire answer; invalid codes are rejected locally."""
     line = encode_message(Survey(nonce, code, text))  # raises ValueError on a bad code
-    for _ in range(retries + 1):
+    for _ in range(SURVEY_RETRIES + 1):
         try:
             response = transport.request(line)
         except TransportError:

@@ -463,8 +463,8 @@ class CounterService:
         Every byte-level rule of a request line is here: a line longer than
         MAX_LINE_BYTES is malformed and never decoded, and the REJECT logs its
         first MAX_LINE_BYTES bytes, dropping a character they cut; a line that
-        is not UTF-8 is malformed and logged as empty text; a trailing "\\r"
-        is dropped.
+        is not UTF-8 is malformed and logged as empty text; one trailing "\\r"
+        is dropped, and any other is part of the line.
         """
         arrival = self.clock.now_ms()
         overlong = len(raw) > MAX_LINE_BYTES
@@ -472,7 +472,7 @@ class CounterService:
             line = raw[:MAX_LINE_BYTES].decode("utf-8", "ignore")
         else:
             try:
-                line = raw.decode("utf-8").rstrip("\r")
+                line = raw.decode("utf-8").removesuffix("\r")
             except UnicodeDecodeError:
                 line = ""
         with self._lock:

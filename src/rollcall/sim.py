@@ -103,13 +103,11 @@ def default_sim_config(
     delta_tau_ms: int = 2_000,
     delta_t_ms: int = 10_000,
     grace_ms: int = 2_000,
-    secret: str = "sim-secret",
-    experiment_id: str = "sim",
 ) -> ExperimentConfig:
     """Desk-scale schedule on the virtual clock (epoch 0, compressed windows)."""
     return ExperimentConfig(
-        experiment_id=experiment_id,
-        secret=secret,
+        experiment_id="sim",
+        secret="sim-secret",
         epoch_ms=0,
         delta_t_ms=delta_t_ms,
         n_rounds=n_rounds,
@@ -164,9 +162,10 @@ class EventLoop:
 class VirtualNet:
     """Latency/loss model between all clients and the counter.
 
-    A hop costs only what the run asks of it: without a trace no trace line
-    is formatted, a reply calls its client back directly, and a REPORT
-    reaches the counter with the `Report` its line was built from, so the
+    A REPORT is known by the `Report` its sender passes with its line, and
+    only REPORTs are duplicated. A hop costs only what the run asks of it:
+    without a trace no trace line is formatted, a reply calls its client back
+    directly, and a REPORT reaches the counter with its `Report`, so the
     counter does not decode it again; with a trace the counter decodes every
     line, and that run is the reference. A net that cannot drop (no loss
     probability, no loss burst) never asks `_lost`, the one drop decision.
@@ -223,14 +222,14 @@ class VirtualNet:
     ) -> None:
         """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered.
 
-        `msg`, if given, is `line` decoded; an untraced delivery hands it to the
-        counter along with the line, and a traced one lets the counter decode.
+        `msg` is `line` decoded, given exactly when `line` is a REPORT; an
+        untraced delivery hands it to the counter along with the line, and a
+        traced one lets the counter decode.
         """
         now, trace = self.loop.now, self.trace
         if trace is not None:
             trace.append(f"{now} SEND {line}")
-            msg = None
-        copies = 2 if self.faults.duplicate_reports and line.startswith("REPORT ") else 1
+        copies = 2 if self.faults.duplicate_reports and msg is not None else 1
         for _ in range(copies):
             if self.can_drop and self._lost(now):
                 if trace is not None:
@@ -245,7 +244,7 @@ class VirtualNet:
         now, trace = self.loop.now, self.trace
         if trace is not None:
             trace.append(f"{now} DELIVER {line}")
-        response = self.counter_handler(line, now, None, msg)
+        response = self.counter_handler(line, now, None, None if trace is not None else msg)
         if self.can_drop and self._lost(now):
             if trace is not None:
                 trace.append(f"{now} DROP-REPLY {response}")
@@ -255,7 +254,7 @@ class VirtualNet:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
         elif (
             not self.judges_reports
-            or not line.startswith("REPORT ")
+            or msg is None
             or report_step(response) is ReportStep.RETRY
         ):
             self.loop.schedule(at, on_response, response, *ctx)
@@ -370,8 +369,8 @@ class SimClient:
         # per round: whether it reports, and at what estimated counter time
         self.participates, self.send_at = participates, send_at
         self.true_offset = sim.clock_offsets.get(index, 0)  # add to local clock for counter time
-        self.synced = index not in spec.faults.unsynced and spec.sync_samples > 0
-        self.offset_est: int | None = None if self.synced else 0
+        synced = index not in spec.faults.unsynced and spec.sync_samples > 0
+        self.offset_est: int | None = None if synced else 0
         self._sync_samples: list[SyncSample] = []
         self._sync_attempts = 0
         self._settled: set[int] = set()  # columns of rounds acknowledged or given up
@@ -406,44 +405,38 @@ class SimClient:
         if sample is None:
             return
         self._sync_samples.append(sample)
-        self._sync_step()
+        if len(self._sync_samples) < self.sim.spec.sync_samples:
+            self._sync_once()
+        else:
+            self._finish_sync()
 
     def _on_sync_timeout(self, expected: int) -> None:
         if self.offset_est is not None or len(self._sync_samples) != expected:
             return
-        if self._sync_attempts >= len(self._sync_samples) + 8:
-            self._sync_step(force=True)  # give up on further exchanges
-        else:
+        if self._sync_attempts < len(self._sync_samples) + 8:
             self._sync_once()
+        else:
+            self._finish_sync()  # give up on further exchanges
 
-    def _sync_step(self, force: bool = False) -> None:
-        if self.offset_est is not None:
-            return
-        if len(self._sync_samples) >= self.sim.spec.sync_samples or force:
-            try:
-                est = best_estimate(self._sync_samples)
-                self.offset_est = est.offset_ms
-            except ClockSyncError:
-                self.offset_est = 0  # fly blind rather than drop out
-            self.sim.sync_offsets[self.index] = self.offset_est
-            self._schedule_rounds()
-        else:
-            self._sync_once()
+    def _finish_sync(self) -> None:
+        """Estimate the offset from the samples in hand, or fly blind at 0."""
+        try:
+            self.offset_est = best_estimate(self._sync_samples).offset_ms
+        except ClockSyncError:
+            self.offset_est = 0  # fly blind rather than drop out
+        self.sim.sync_offsets[self.index] = self.offset_est
+        self._schedule_rounds()
 
     # rounds ------------------------------------------------------------------
 
     def _schedule_rounds(self) -> None:
         assert self.offset_est is not None
         self.skew = skew = self.true_offset - self.offset_est
-        schedule = self.sim.loop.schedule
-        for plan, participates, send_at in zip(self.sim.plans, self.participates, self.send_at):
-            if participates:
-                first = self._attempt_execution if plan.round.is_execution else self._try_send
-                schedule(send_at + skew, first, plan)
-
-    def _attempt_execution(self, plan: _RoundPlan) -> None:
-        if self.sim._shutdown_certified(self.skew):
-            self._try_send(plan)
+        sim, schedule = self.sim, self.sim.loop.schedule
+        for plan, participates, send_at in zip(sim.plans, self.participates, self.send_at):
+            # the execution round is reported only by a client that certifies its shutdown
+            if participates and (not plan.round.is_execution or sim._shutdown_certified(skew)):
+                schedule(send_at + skew, self._try_send, plan)
 
     def _try_send(self, plan: _RoundPlan) -> None:
         if plan.column in self._settled:

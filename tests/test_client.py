@@ -314,9 +314,11 @@ class TestSyncAndSurvey:
 
     def test_survey_retries_then_gives_up(self, config):
         clock = FakeClock()
-        transport = LoopbackTransport(CounterCore(config), clock, drop=lambda _line: True)
-        assert not run_survey(transport, "abcdefgh", "FORGOT", "", retries=2)
-        assert len(transport.requests) == 3
+        core = CounterCore(config)
+        transport = LoopbackTransport(core, clock, drop=lambda _line: True)
+        assert not run_survey(transport, "abcdefgh", "FORGOT", "")
+        assert transport.requests == ["SURVEY abcdefgh FORGOT -"] * (client_mod.SURVEY_RETRIES + 1)
+        assert core.surveys == [] and core.log.lines == []
 
 
 class TestExchangePolicy:

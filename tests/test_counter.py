@@ -788,6 +788,22 @@ class TestService:
         assert not service.core.tallies[r0].closed
         assert [e.tag for e in read_log(tmp_path / "svc.log")] == ["REJECT"]
 
+    def test_only_one_trailing_cr_is_dropped(self, tmp_path, config):
+        r0 = RoundRef.cal(0)
+        clock = FakeClock(config.window_open(r0))
+        service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
+        report = f"REPORT CAL 0 nonce-0001 {derive_token(config.secret, r0)}"
+        try:
+            answers = [service.handle(line.encode()) for line in
+                       (report + "\r\r\r", "SYNC 5\r\r", report + "\r")]
+        finally:
+            service.shutdown()
+        assert answers == ["REJ MALFORMED", "REJ MALFORMED", "ACK CAL 0"]
+        events = read_log(tmp_path / "svc.log")
+        assert [(e.tag, e.raw) for e in events] == [
+            ("REJECT", report + "\r\r"), ("REJECT", "SYNC 5\r"), ("ACCEPT", report)]
+        assert service.core.tallies[r0].count == 1
+
     def test_burst_of_connections_fits_the_listen_backlog(self, tmp_path):
         # nothing accepts yet, so every handshake must complete from the
         # backlog alone; a full backlog drops the SYN and the connect times out
