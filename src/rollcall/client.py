@@ -26,6 +26,7 @@ from .protocol import (
     Ack,
     ExperimentConfig,
     MalformedLine,
+    Message,
     Reject,
     Report,
     RoundRef,
@@ -149,6 +150,13 @@ class UptimeRecord:
 
 
 class RoundOutcome(Enum):
+    """How one round ended for the client.
+
+    FAILED means that no final answer was heard before the estimated window
+    close, so a FAILED round may still have been counted: the counter may
+    have accepted a REPORT whose answer was lost.
+    """
+
     REPORTED = "REPORTED"
     DECLINED = "DECLINED"
     VIOLATED = "VIOLATED"
@@ -277,11 +285,16 @@ def report_step(response: str) -> ReportStep:
 
 
 def sync_sample(response: str, t1: int, t4: int) -> SyncSample | None:
-    """The sample a counter's answer to `SYNC t1` yields, or None if unusable."""
+    """The sample a counter's answer line to `SYNC t1` yields, or None if unusable."""
     try:
         msg = decode_message(response)
     except MalformedLine:
         return None
+    return sync_sample_of(msg, t1, t4)
+
+
+def sync_sample_of(msg: Message, t1: int, t4: int) -> SyncSample | None:
+    """The sample a counter's decoded answer to `SYNC t1` yields, or None if unusable."""
     if not isinstance(msg, SyncResponse) or msg.t1 != t1:
         return None
     try:

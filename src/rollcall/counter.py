@@ -266,14 +266,20 @@ class CounterCore:
             self.log.append(arrival_ms, TAG_REJECT, line)
             return self._reject_lines[reason]
         if isinstance(msg, SyncRequest):
-            t3 = arrival_ms if send_ms is None else send_ms
-            return encode_message(SyncResponse(msg.t1, arrival_ms, t3))
+            return encode_message(self.answer_sync(msg, arrival_ms, send_ms))
         if isinstance(msg, Survey):  # never gated on participation; all are kept
             self.log.append(arrival_ms, TAG_SURVEY, line)
             self.surveys.append(msg)
             return self._ack_lines[RoundRef.exe()]
         # a syntactically valid line that is not a client-to-counter message
         return self._reject_malformed(line, arrival_ms)
+
+    def answer_sync(
+        self, msg: SyncRequest, arrival_ms: int, send_ms: int | None = None
+    ) -> SyncResponse:
+        """The answer to a SYNC received at `arrival_ms` and answered at
+        `send_ms`, or at once if that is None; a SYNC changes no state."""
+        return SyncResponse(msg.t1, arrival_ms, arrival_ms if send_ms is None else send_ms)
 
     def _reject_malformed(self, line: str, arrival_ms: int) -> str:
         self.log.append(arrival_ms, TAG_REJECT, line)

@@ -4,9 +4,12 @@ A virtual millisecond clock drives M scripted clients, one in-process counter
 (the real tally code), and a virtual network with uniform latency, optional
 loss, per-direction asymmetry and fault injection. Clients synchronize their
 clocks through real SYNC exchanges, derive real tokens, and judge every
-answer with the live client's own functions (`report_step`, `sync_sample`),
-so the simulation validates the end-to-end protocol and measures the
-decision rule.
+answer with the live client's own functions (`report_step`, and
+`sync_sample` or its value half `sync_sample_of`), so the simulation
+validates the end-to-end protocol and measures the decision rule. A traced
+run is the text reference: every request and answer crosses the net as its
+wire line and is decoded where it lands. An untraced run passes messages as
+values wherever no output reads the text.
 
 Coping is modeled purely as participation suppression: at the execution round
 a COPING scenario multiplies the participation probability by (1 - delta).
@@ -26,9 +29,25 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import stats
-from .client import ReportStep, UptimeRecord, certify_shutdown, report_step, sync_sample
+from .client import (
+    ReportStep,
+    UptimeRecord,
+    certify_shutdown,
+    report_step,
+    sync_sample,
+    sync_sample_of,
+)
 from .counter import CounterCore
-from .protocol import ExperimentConfig, Report, RoundRef, _check_nonce, derive_token, encode_message
+from .protocol import (
+    ExperimentConfig,
+    Report,
+    RoundRef,
+    SyncRequest,
+    SyncResponse,
+    _check_nonce,
+    derive_token,
+    encode_message,
+)
 from .stats import COPING, DEFENSE
 from .timesync import ClockSyncError, SyncSample, best_estimate
 
@@ -162,13 +181,16 @@ class EventLoop:
 class VirtualNet:
     """Latency/loss model between all clients and the counter.
 
-    A REPORT is known by the `Report` its sender passes with its line, and
-    only REPORTs are duplicated. A hop costs only what the run asks of it:
-    without a trace no trace line is formatted, a reply calls its client back
-    directly, and a REPORT reaches the counter with its `Report`, so the
-    counter does not decode it again; with a trace the counter decodes every
-    line, and that run is the reference. A net that cannot drop (no loss
-    probability, no loss burst) never asks `_lost`, the one drop decision.
+    Every request carries its line and the message it encodes. A REPORT is
+    known by its `Report`, and only REPORTs are duplicated. A hop costs only
+    what the run asks of it: without a trace no trace line is formatted, a
+    reply calls its client back directly, a REPORT reaches the counter with
+    its `Report`, so the counter does not decode it again, and a SYNC is
+    answered by `CounterCore.answer_sync` with a `SyncResponse` value that
+    its client reads without any text; with a trace the counter decodes
+    every line and answers with a line, which the client decodes, and that
+    run is the reference. A net that cannot drop (no loss probability, no
+    loss burst) never asks `_lost`, the one drop decision.
     Without a trace on a net that neither drops nor duplicates, each REPORT
     answer is judged with `report_step` as it is delivered, and only a RETRY
     calls its client back: each request then gets exactly one answer and no
@@ -182,14 +204,14 @@ class VirtualNet:
         rng: np.random.Generator,
         net: NetModel,
         faults: FaultPlan,
-        counter_handler: Callable[[str, int, int | None, Report | None], str],
+        counter: CounterCore,
         trace: list[str] | None,
     ) -> None:
         self.loop = loop
         self.rng = rng
         self.net = net
         self.faults = faults
-        self.counter_handler = counter_handler
+        self.counter = counter
         self.trace = trace
         self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
         self.judges_reports = trace is None and not self.can_drop and not faults.duplicate_reports
@@ -218,18 +240,23 @@ class VirtualNet:
         return self._loss_buf.pop() < self.net.loss_prob
 
     def request(
-        self, line: str, on_response: Callable[..., None], *ctx: object, msg: Report | None = None
+        self,
+        line: str,
+        on_response: Callable[..., None],
+        *ctx: object,
+        msg: Report | SyncRequest,
     ) -> None:
         """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered.
 
-        `msg` is `line` decoded, given exactly when `line` is a REPORT; an
-        untraced delivery hands it to the counter along with the line, and a
-        traced one lets the counter decode.
+        `msg` is `line` decoded. An untraced delivery hands it to the counter,
+        and `response` is then the `SyncResponse` value for a SYNC and the
+        answer line for anything else; a traced one lets the counter decode,
+        and `response` is always the answer line.
         """
         now, trace = self.loop.now, self.trace
         if trace is not None:
             trace.append(f"{now} SEND {line}")
-        copies = 2 if self.faults.duplicate_reports and msg is not None else 1
+        copies = 2 if self.faults.duplicate_reports and type(msg) is Report else 1
         for _ in range(copies):
             if self.can_drop and self._lost(now):
                 if trace is not None:
@@ -239,12 +266,21 @@ class VirtualNet:
             self.loop.schedule(now + up, self._deliver, line, on_response, ctx, msg)
 
     def _deliver(
-        self, line: str, on_response: Callable[..., None], ctx: tuple, msg: Report | None
+        self,
+        line: str,
+        on_response: Callable[..., None],
+        ctx: tuple,
+        msg: Report | SyncRequest,
     ) -> None:
         now, trace = self.loop.now, self.trace
+        response: str | SyncResponse
         if trace is not None:
             trace.append(f"{now} DELIVER {line}")
-        response = self.counter_handler(line, now, None, None if trace is not None else msg)
+            response = self.counter.handle_line(line, now)
+        elif type(msg) is SyncRequest:
+            response = self.counter.answer_sync(msg, now)
+        else:
+            response = self.counter.handle_line(line, now, None, msg)
         if self.can_drop and self._lost(now):
             if trace is not None:
                 trace.append(f"{now} DROP-REPLY {response}")
@@ -254,7 +290,7 @@ class VirtualNet:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
         elif (
             not self.judges_reports
-            or msg is None
+            or type(msg) is not Report
             or report_step(response) is ReportStep.RETRY
         ):
             self.loop.schedule(at, on_response, response, *ctx)
@@ -393,15 +429,20 @@ class SimClient:
         self._sync_attempts += 1
         t1 = self._local_now()
         expected = len(self._sync_samples)
-        self.sim.net.request(f"SYNC {t1}", self._on_sync_answer, t1, expected)
+        self.sim.net.request(f"SYNC {t1}", self._on_sync_answer, t1, expected, msg=SyncRequest(t1))
         if self.sim.net.can_drop:  # else the response always arrives and drives the next step
             timeout = self.sim.spec.retry_ms + 2 * self.sim.spec.net.max_latency_ms + 50
             self.sim.loop.schedule(self.sim.loop.now + timeout, self._on_sync_timeout, expected)
 
-    def _on_sync_answer(self, line: str, t1: int, expected: int) -> None:
+    def _on_sync_answer(self, answer: str | SyncResponse, t1: int, expected: int) -> None:
+        """Take the counter's answer: its line on a traced run, else its value."""
         if len(self._sync_samples) != expected or self.offset_est is not None:
             return  # a retry already completed this exchange
-        sample = sync_sample(line, t1, self._local_now())
+        t4 = self._local_now()
+        if type(answer) is str:
+            sample = sync_sample(answer, t1, t4)
+        else:
+            sample = sync_sample_of(answer, t1, t4)
         if sample is None:
             return
         self._sync_samples.append(sample)
@@ -477,9 +518,7 @@ class Simulation:
         net_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((spec.seed, _NET_STREAM_TAG)))
         )
-        self.net = VirtualNet(
-            self.loop, net_rng, spec.net, spec.faults, self.counter.handle_line, self.trace
-        )
+        self.net = VirtualNet(self.loop, net_rng, spec.net, spec.faults, self.counter, self.trace)
         # window closes strictly increase and each close event is the first of
         # its millisecond, so each closes its own round and only that one
         for plan in self.plans:

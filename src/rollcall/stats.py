@@ -93,7 +93,7 @@ def z_score(dist: CalibrationDistribution, n_star: int) -> float:
 def normal_cdf(z: float) -> float:
     """Standard normal CDF, clamped into the open interval (0, 1)."""
     if math.isnan(z):
-        raise ValueError("z must be finite")
+        raise ValueError("z must not be NaN")
     value = 0.5 * math.erfc(-z / _SQRT2)
     if value <= 0.0:
         return _MIN_POSITIVE

@@ -12,7 +12,7 @@ import unittest.mock
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rollcall.counter import (
     MAX_LINE_BYTES,
@@ -27,12 +27,14 @@ from rollcall.counter import (
     replay_log_file,
 )
 from rollcall.protocol import (
+    _INT_RE,
     Ack,
     Reject,
     Report,
     SURVEY_CODES,
     RoundRef,
     Survey,
+    SyncRequest,
     decode_message,
     derive_token,
     encode_message,
@@ -191,6 +193,27 @@ class TestHandleLine:
         core = CounterCore(config)
         assert core.handle_line("SYNC 123", 500, send_ms=502) == "SYNCR 123 500 502"
         assert core.log.lines == []
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.from_regex(_INT_RE, fullmatch=True),
+        st.integers(-(2**63), 2**63),
+        st.one_of(st.none(), st.integers(0, 2**31)),
+    )
+    def test_a_sync_line_is_answered_by_the_value_rule(self, t1, arrival, wait):
+        """`handle_line` answers a SYNC line with `answer_sync` encoded, and
+        neither changes the log, the dedupe set or the tallies."""
+        assume(len(t1) < 4000)  # int() takes no more digits
+        config = make_config()
+        core = CounterCore(config)
+        r0 = RoundRef.cal(0)
+        submit(core, report_for(config, r0, "nonce-01"), config.window_open(r0))
+        before = list(core.log.lines), set(core.seen), _tally_values(core)
+        send = None if wait is None else arrival + wait
+        answer = core.answer_sync(SyncRequest(int(t1)), arrival, send)
+        assert core.handle_line(f"SYNC {t1}", arrival, send_ms=send) == encode_message(answer)
+        assert answer == (int(t1), arrival, arrival if send is None else send)
+        assert (core.log.lines, core.seen, _tally_values(core)) == before
 
     def test_malformed_logged_and_rejected(self, config):
         core = CounterCore(config)
@@ -631,9 +654,13 @@ class TestFailStopLog:
             core.log.sync()
 
 
+def _tally_values(core):
+    return {r: (t.count, t.closed) for r, t in core.tallies.items()}
+
+
 def _state(core):
     """Everything replay rebuilds: the dedupe set, the tallies and the surveys."""
-    return core.seen, {r: (t.count, t.closed) for r, t in core.tallies.items()}, core.surveys
+    return core.seen, _tally_values(core), core.surveys
 
 
 # a program for the durable-log model: requests, fsyncs, crashes and restarts

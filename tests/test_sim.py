@@ -267,6 +267,33 @@ class TestHopWork:
         ]
         assert decoded == deliveries  # the reference decodes once per delivery
 
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(net=NetModel(loss_prob=0.2), faults=FaultPlan(duplicate_reports=True)),
+    ], ids=["clean", "lossy-duplicating"])
+    def test_only_a_traced_run_round_trips_through_text(self, spec, monkeypatch):
+        decoded, encoded = [], []
+        for module in (counter_mod, client_mod):
+            real = module.decode_message
+            monkeypatch.setattr(
+                module, "decode_message", lambda line, real=real: decoded.append(line) or real(line)
+            )
+        real_encode = counter_mod.encode_message
+        monkeypatch.setattr(
+            counter_mod, "encode_message", lambda msg: encoded.append(msg) or real_encode(msg)
+        )
+        untraced = run_scenario(spec, capture_trace=False)
+        assert [line for line in decoded if line.startswith(("SYNC", "REPORT "))] == []
+        assert [msg for msg in encoded if type(msg) is protocol.SyncResponse] == []
+        assert len(untraced.sync_offsets) == spec.m_clients
+        decoded.clear()
+        traced = run_scenario(spec)
+        events = [line.split(" ", 2)[1:] for line in traced.event_trace]
+        for kind, verb in (("DELIVER", "SYNC "), ("REPLY", "SYNCR ")):
+            lines = [line for event, line in events if event == kind and line.startswith(verb)]
+            assert len(lines) >= spec.m_clients
+            assert [line for line in decoded if line.startswith(verb)] == lines
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 80), st.from_regex(protocol._NONCE_RE, fullmatch=True))
     def test_the_report_sent_is_its_line_decoded(self, n_rounds, nonce):

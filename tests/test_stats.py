@@ -129,8 +129,12 @@ class TestNormalCdf:
         assert worst <= 1e-12
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN"):
             normal_cdf(float("nan"))
+
+    def test_infinities_are_clamped(self):
+        assert normal_cdf(-math.inf) == 5e-324
+        assert normal_cdf(math.inf) == math.nextafter(1.0, 0.0)
 
     @given(st.floats(min_value=-12, max_value=12, allow_nan=False))
     def test_symmetry(self, z):

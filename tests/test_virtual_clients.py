@@ -61,19 +61,22 @@ class Volunteer:
     sync_loss: float = 0.0  # chance that a SYNC is lost; it replaces `loss` for SYNCs
     report_delay_ms: int = 0  # added to every REPORT's up leg
     duplicate: bool = False  # every delivered REPORT reaches the counter twice
+    reply_loss: float = 0.0  # chance that the answer to a handled REPORT is lost
 
 
 class VirtualTransport:
     """One volunteer's link to the shared counter, 5-50 ms per leg.
 
-    Only requests are lost: a reply lost on the window's last attempt would
-    leave a counted report FAILED, which no invariant below allows for.
+    A lost request or a lost REPORT answer raises TransportError once the
+    request times out. A volunteer without `reply_loss` loses requests only
+    and spends no draw on answers.
     """
 
     def __init__(self, core: CounterCore, clock: VirtualClock, who: Volunteer,
                  rng: random.Random) -> None:
         self.core, self.clock, self.who, self.rng = core, clock, who, rng
         self.reports: list[tuple[str, str | None]] = []  # each REPORT sent; its answer or None
+        self.lost_replies: set[int] = set()  # indices into `reports` whose answer was lost
 
     def request(self, line: str) -> str:
         clock, who, rng = self.clock, self.who, self.rng
@@ -89,6 +92,10 @@ class VirtualTransport:
             self.reports.append((line, answer))
             if who.duplicate:
                 self.core.handle_line(line, clock.true_ms + rng.randint(0, 50))
+            if who.reply_loss and rng.random() < who.reply_loss:
+                self.lost_replies.add(len(self.reports) - 1)
+                clock.true_ms += TIMEOUT_MS
+                raise TransportError("reply lost")
         clock.true_ms += rng.randint(5, 50)
         return answer
 
@@ -186,3 +193,32 @@ def test_live_tallies_equal_the_draws():
     volunteers = [Volunteer(f"sim-{i:08d}", tuple(row)) for i, row in enumerate(participates)]
     core, _results = run_population(spec.config, volunteers, seed=spec.seed)
     assert core.distribution() == _draw_counts(spec)
+
+
+def test_a_lost_reply_can_leave_a_counted_report_failed():
+    """FAILED means no final answer was heard before the estimated window
+    close: with a 2 s grace, an accepted REPORT whose answer is lost leaves no
+    time for a retry, so the report is counted and the round FAILED."""
+    config = make_config(n_rounds=3, delta_t_ms=600_000, delta_tau_ms=2_000, grace_ms=2_000)
+    rng = random.Random(23)
+    volunteers = [
+        Volunteer(nonce=f"live-{i:04d}", consents=(True,) * len(config.rounds()),
+                  offset_ms=rng.randint(-2_000, 2_000), loss=0.1, reply_loss=0.1)
+        for i in range(300)
+    ]
+    core, results = run_population(config, volunteers, seed=23)
+
+    counted_failed = 0
+    for who, by_round, transport in results:
+        assert by_round is not None
+        for round, outcome in by_round.items():
+            counted = (round, who.nonce) in core.seen
+            if outcome is RoundOutcome.REPORTED:
+                assert counted
+            elif counted:
+                assert outcome is RoundOutcome.FAILED
+                last = max(i for i, (line, _answer) in enumerate(transport.reports)
+                           if decode_message(line).round == round)
+                assert last in transport.lost_replies
+                counted_failed += 1
+    assert counted_failed > 0
