@@ -329,20 +329,23 @@ class TestHopWork:
 @st.composite
 def reply_specs(draw):
     """Specs that draw EARLY answers (negative margins), LATE ones (short grace),
-    clock faults, and nets with and without drops and duplicates."""
+    clock faults, loss bursts, and nets with and without drops and duplicates."""
     m = draw(st.integers(1, 40))
     low = draw(st.integers(0, 60))
     clients = st.integers(0, m - 1)
     offsets = draw(st.lists(st.tuples(clients, st.integers(-3_000, 3_000)), max_size=4))
+    n_rounds = draw(st.integers(2, 4))
+    burst = None
+    if draw(st.booleans()):  # over the sync phase or part of a round's window
+        start = draw(st.integers(0, n_rounds)) * 10_000 + draw(st.integers(0, 4_000))
+        burst = (start, start + draw(st.integers(0, 3_000)))
     return ScenarioSpec(
         m_clients=m,
         p_participate=draw(st.floats(0.2, 1.0)),
         delta=0.0,
         scenario=DEFENSE,
         seed=draw(st.integers(0, 2**64 - 1)),
-        config=default_sim_config(
-            n_rounds=draw(st.integers(2, 4)), grace_ms=draw(st.integers(50, 2_000))
-        ),
+        config=default_sim_config(n_rounds=n_rounds, grace_ms=draw(st.integers(50, 2_000))),
         net=NetModel(
             min_latency_ms=low,
             max_latency_ms=low + draw(st.integers(0, 100)),
@@ -351,6 +354,7 @@ def reply_specs(draw):
         ),
         faults=FaultPlan(
             duplicate_reports=draw(st.booleans()),
+            loss_burst=burst,
             clock_offsets=tuple(offsets),
             unsynced=frozenset(draw(st.lists(clients, max_size=3))),
         ),
@@ -633,19 +637,68 @@ class TestGoldenRuns:
         ],
     }
 
+    # edge specs on `small_spec`: per name its overrides, a check that the run
+    # reaches the branch it is named for, and the same hash of its traced run
+    EDGES = {
+        "loss-burst": (
+            dict(faults=FaultPlan(loss_burst=(2_000, 2_050))),
+            lambda out: any(" DROP REPORT " in line for line in out.event_trace),
+            "b681a29c2c089bb611b69fec539e95fe4e102aceb47847d973c275e3d311298d",
+        ),
+        "unsynced": (
+            dict(sync_samples=0, faults=FaultPlan(clock_offsets=((3, 2_500),))),
+            lambda out: out.sync_offsets == {}
+            and any(line.endswith(" REJ LATE") for line in out.event_trace),
+            "2af534e37fdfb09b5f0e15505fbcb18cf55d6e4d9fe487519440b5aaaccdb8fe",
+        ),
+        "early-retries": (
+            dict(send_margin_ms=-100, send_jitter_ms=0),
+            lambda out: any(line.endswith(" REJ EARLY") for line in out.event_trace),
+            "9afb2d4fc188869c37be5c8676a803f28b40df8b0f7b2c5e365b7d18b2ac0b8b",
+        ),
+        "late": (
+            dict(config=default_sim_config(n_rounds=6, grace_ms=60)),
+            lambda out: any(line.endswith(" REJ LATE") for line in out.event_trace),
+            "e35d780509818d3b1127d55f655dbe7a111b59d72aa5a7d208c2cc602d26c3fe",
+        ),
+        "asymmetric": (
+            dict(net=NetModel(30, 30, asym_up_ms=200)),
+            lambda out: set(out.sync_offsets.values()) == {100},
+            "c6987ff08f2190032dbc6f7050028fd4df0c86c03dd1b0cd8bc46d9695165487",
+        ),
+        "lossy-duplicating": (
+            dict(net=NetModel(loss_prob=0.2), faults=FaultPlan(duplicate_reports=True),
+                 sync_samples=3),
+            lambda out: any(line.endswith(" REJ DUP") for line in out.event_trace)
+            and any(" DROP-REPLY SYNCR " in line for line in out.event_trace),
+            "6b05466dbcaf8d51f0afea30662ee9009d9f8520997ff796e4d3586f2647ea02",
+        ),
+    }
+
+    @staticmethod
+    def _hash(out):
+        record = [out.counts, out.n_star, out.event_trace, out.counter_log,
+                  sorted(out.sync_offsets.items())]
+        return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
     @pytest.mark.parametrize("workload", sorted(GOLDEN))
     def test_whole_runs_match_the_golden_hashes(self, workload, monkeypatch):
         monkeypatch.syspath_prepend(str(BENCH_DIR))
         import mcload
 
         spec = mcload.SPECS[workload](mcload.DEFAULT_SEED, m_clients=120)
-        hashes = []
-        for child in _child_seeds(mcload.DEFAULT_SEED, len(self.GOLDEN[workload])):
-            out = run_scenario(replace(spec, seed=child))
-            record = [out.counts, out.n_star, out.event_trace, out.counter_log,
-                      sorted(out.sync_offsets.items())]
-            hashes.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
+        hashes = [
+            self._hash(run_scenario(replace(spec, seed=child)))
+            for child in _child_seeds(mcload.DEFAULT_SEED, len(self.GOLDEN[workload]))
+        ]
         assert hashes == self.GOLDEN[workload]
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_edge_runs_match_the_golden_hashes(self, edge):
+        overrides, reaches_its_branch, golden = self.EDGES[edge]
+        out = run_scenario(small_spec(**overrides))
+        assert reaches_its_branch(out)
+        assert self._hash(out) == golden
 
 
 class HeapLoop:
