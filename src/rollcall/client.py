@@ -294,13 +294,15 @@ def sync_sample(response: str, t1: int, t4: int) -> SyncSample | None:
 
 
 def sync_sample_of(msg: Message, t1: int, t4: int) -> SyncSample | None:
-    """The sample a counter's decoded answer to `SYNC t1` yields, or None if unusable."""
-    if not isinstance(msg, SyncResponse) or msg.t1 != t1:
+    """The sample a counter's decoded answer to `SYNC t1` yields, or None if
+    it is no `SyncResponse`, echoes another t1, or has its timestamps out of
+    order (t4 < t1 or t3 < t2)."""
+    if type(msg) is not SyncResponse:
         return None
-    try:
-        return SyncSample(t1=t1, t2=msg.t2, t3=msg.t3, t4=t4)
-    except ValueError:  # timestamps out of order
+    echoed, t2, t3 = msg
+    if echoed != t1 or t4 < t1 or t3 < t2:
         return None
+    return tuple.__new__(SyncSample, (t1, t2, t3, t4))  # `SyncSample`'s checks, made above
 
 
 # --- sync and survey over a transport ----------------------------------------

@@ -279,7 +279,8 @@ class CounterCore:
     ) -> SyncResponse:
         """The answer to a SYNC received at `arrival_ms` and answered at
         `send_ms`, or at once if that is None; a SYNC changes no state."""
-        return SyncResponse(msg.t1, arrival_ms, arrival_ms if send_ms is None else send_ms)
+        t3 = arrival_ms if send_ms is None else send_ms
+        return tuple.__new__(SyncResponse, (msg.t1, arrival_ms, t3))  # the type has no checks
 
     def _reject_malformed(self, line: str, arrival_ms: int) -> str:
         self.log.append(arrival_ms, TAG_REJECT, line)

@@ -9,7 +9,11 @@ answer with the live client's own functions (`report_step`, and
 validates the end-to-end protocol and measures the decision rule. A traced
 run is the text reference: every request and answer crosses the net as its
 wire line and is decoded where it lands. An untraced run passes messages as
-values wherever no output reads the text.
+values wherever no output reads the text, and formats only the lines
+something reads: its SYNC requests carry no text at all. Values whose fields
+are known to be valid (a SYNC exchange's messages and sample, a REPORT cut
+from a checked one) are built with `tuple.__new__`, skipping checks that
+could not fail.
 
 Coping is modeled purely as participation suppression: at the execution round
 a COPING scenario multiplies the participation probability by (1 - delta).
@@ -24,6 +28,7 @@ from __future__ import annotations
 import gc
 import heapq
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -52,6 +57,9 @@ from .stats import COPING, DEFENSE
 from .timesync import ClockSyncError, SyncSample, best_estimate
 
 _NET_STREAM_TAG = 0x6E6574  # distinct substream domain for the network
+# `report_step`'s process-wide answer cache, bound here so that it is still
+# the one emptied when `report_step` is patched or wrapped
+_clear_answer_cache = report_step.cache_clear
 SHUTDOWN_SLACK_MS = 500  # simulated uptime records cover the shutdown window plus this each side
 
 
@@ -181,16 +189,18 @@ class EventLoop:
 class VirtualNet:
     """Latency/loss model between all clients and the counter.
 
-    Every request carries its line and the message it encodes. A REPORT is
-    known by its `Report`, and only REPORTs are duplicated. A hop costs only
-    what the run asks of it: without a trace no trace line is formatted, a
-    reply calls its client back directly, a REPORT reaches the counter with
-    its `Report`, so the counter does not decode it again, and a SYNC is
-    answered by `CounterCore.answer_sync` with a `SyncResponse` value that
-    its client reads without any text; with a trace the counter decodes
-    every line and answers with a line, which the client decodes, and that
-    run is the reference. A net that cannot drop (no loss probability, no
-    loss burst) never asks `_lost`, the one drop decision.
+    Every request carries the message it encodes, and its line where
+    anything reads it. A REPORT is known by its `Report`, and only REPORTs
+    are duplicated. A hop costs only what the run asks of it: without a
+    trace no trace line is formatted, a reply calls its client back
+    directly, a REPORT reaches the counter with its `Report`, so the counter
+    does not decode it again, and a SYNC, sent without a line, is answered
+    by `CounterCore.answer_sync` with a `SyncResponse` value that its client
+    reads without any text; with a trace the counter decodes every line and
+    answers with a line, which the client decodes, and that run is the
+    reference. A net that cannot drop (no loss probability, no loss burst)
+    never asks `_lost`, the one drop decision, whose buffer holds loss draws
+    already compared with the loss probability.
     Without a trace on a net that neither drops nor duplicates, each REPORT
     answer is judged with `report_step` as it is delivered, and only a RETRY
     calls its client back: each request then gets exactly one answer and no
@@ -215,8 +225,10 @@ class VirtualNet:
         self.trace = trace
         self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
         self.judges_reports = trace is None and not self.can_drop and not faults.duplicate_reports
+        self.asym_up_ms = net.asym_up_ms
+        self.duplicates = faults.duplicate_reports
         self._lat_buf: list[int] = []
-        self._loss_buf: list[float] = []
+        self._loss_buf: list[bool] = []
 
     _BUF = 8192
 
@@ -236,8 +248,8 @@ class VirtualNet:
         if self.net.loss_prob <= 0.0:
             return False
         if not self._loss_buf:
-            self._loss_buf = self.rng.random(size=self._BUF).tolist()
-        return self._loss_buf.pop() < self.net.loss_prob
+            self._loss_buf = (self.rng.random(size=self._BUF) < self.net.loss_prob).tolist()
+        return self._loss_buf.pop()
 
     def request(
         self,
@@ -248,7 +260,8 @@ class VirtualNet:
     ) -> None:
         """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered.
 
-        `msg` is `line` decoded. An untraced delivery hands it to the counter,
+        `msg` is `line` decoded; an untraced SYNC's line is empty, since only a
+        trace would read it. An untraced delivery hands `msg` to the counter,
         and `response` is then the `SyncResponse` value for a SYNC and the
         answer line for anything else; a traced one lets the counter decode,
         and `response` is always the answer line.
@@ -256,13 +269,13 @@ class VirtualNet:
         now, trace = self.loop.now, self.trace
         if trace is not None:
             trace.append(f"{now} SEND {line}")
-        copies = 2 if self.faults.duplicate_reports and type(msg) is Report else 1
+        copies = 2 if self.duplicates and type(msg) is Report else 1
         for _ in range(copies):
             if self.can_drop and self._lost(now):
                 if trace is not None:
                     trace.append(f"{now} DROP {line}")
                 continue
-            up = (self._lat_buf or self._latencies()).pop() + self.net.asym_up_ms
+            up = (self._lat_buf or self._latencies()).pop() + self.asym_up_ms
             self.loop.schedule(now + up, self._deliver, line, on_response, ctx, msg)
 
     def _deliver(
@@ -414,9 +427,6 @@ class SimClient:
         # at which the client thinks counter time t has come is t + skew
         self.skew = 0
 
-    def _local_now(self) -> int:
-        return self.sim.loop.now - self.true_offset
-
     # sync -------------------------------------------------------------------
 
     def start(self) -> None:
@@ -427,18 +437,22 @@ class SimClient:
 
     def _sync_once(self) -> None:
         self._sync_attempts += 1
-        t1 = self._local_now()
+        sim = self.sim
+        t1 = sim.loop.now - self.true_offset  # on the local clock
         expected = len(self._sync_samples)
-        self.sim.net.request(f"SYNC {t1}", self._on_sync_answer, t1, expected, msg=SyncRequest(t1))
-        if self.sim.net.can_drop:  # else the response always arrives and drives the next step
-            timeout = self.sim.spec.retry_ms + 2 * self.sim.spec.net.max_latency_ms + 50
-            self.sim.loop.schedule(self.sim.loop.now + timeout, self._on_sync_timeout, expected)
+        # only a trace reads the line; `SyncRequest` has no checks to skip
+        line = f"SYNC {t1}" if sim.trace is not None else ""
+        request = tuple.__new__(SyncRequest, (t1,))
+        sim.net.request(line, self._on_sync_answer, t1, expected, msg=request)
+        if sim.net.can_drop:  # else the response always arrives and drives the next step
+            timeout = sim.spec.retry_ms + 2 * sim.spec.net.max_latency_ms + 50
+            sim.loop.schedule(sim.loop.now + timeout, self._on_sync_timeout, expected)
 
     def _on_sync_answer(self, answer: str | SyncResponse, t1: int, expected: int) -> None:
         """Take the counter's answer: its line on a traced run, else its value."""
         if len(self._sync_samples) != expected or self.offset_est is not None:
             return  # a retry already completed this exchange
-        t4 = self._local_now()
+        t4 = self.sim.loop.now - self.true_offset
         if type(answer) is str:
             sample = sync_sample(answer, t1, t4)
         else:
@@ -473,11 +487,13 @@ class SimClient:
     def _schedule_rounds(self) -> None:
         assert self.offset_est is not None
         self.skew = skew = self.true_offset - self.offset_est
-        sim, schedule = self.sim, self.sim.loop.schedule
-        for plan, participates, send_at in zip(sim.plans, self.participates, self.send_at):
-            # the execution round is reported only by a client that certifies its shutdown
-            if participates and (not plan.round.is_execution or sim._shutdown_certified(skew)):
-                schedule(send_at + skew, self._try_send, plan)
+        sim, participates = self.sim, self.participates
+        # the execution round, last, is reported only by a client that certifies its shutdown
+        if participates[-1] and not sim._shutdown_certified(skew):
+            participates = participates[:-1]
+        schedule, try_send = sim.loop.schedule, self._try_send
+        for plan, send_at in compress(zip(sim.plans, self.send_at), participates):
+            schedule(send_at + skew, try_send, plan)
 
     def _try_send(self, plan: _RoundPlan) -> None:
         if plan.column in self._settled:
@@ -507,6 +523,7 @@ class SimClient:
 class Simulation:
     def __init__(self, spec: ScenarioSpec, capture_trace: bool = True) -> None:
         self.spec = spec
+        _clear_answer_cache()  # a run decodes its own answers, whatever ran before it
         self.loop = EventLoop()
         self.trace: list[str] | None = [] if capture_trace else None
         self.counter = CounterCore(spec.config)
@@ -585,8 +602,8 @@ def run_scenario(
         n_star=n_star,
         analysis=_analysis(counts, n_star, alpha),
         event_trace=sim.trace if sim.trace is not None else [],
-        counter_log=list(sim.counter.log.lines),
-        sync_offsets=dict(sim.sync_offsets),
+        counter_log=sim.counter.log.lines,
+        sync_offsets=sim.sync_offsets,
     )
 
 

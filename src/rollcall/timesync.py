@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from .protocol import _Checked
@@ -34,55 +33,60 @@ class SyncSample(_Checked, namedtuple("SyncSample", "t1 t2 t3 t4")):
             raise ValueError("client receive time precedes send time")
         if t3 < t2:
             raise ValueError("server send time precedes receive time")
-        return super().__new__(cls, t1, t2, t3, t4)
+        return tuple.__new__(cls, (t1, t2, t3, t4))
 
 
-@dataclass(frozen=True)
-class ClockEstimate:
-    offset_ms: int  # add to the local clock to get counter time
-    delay_ms: int
-    samples_used: int
+class ClockEstimate(_Checked, namedtuple("ClockEstimate", "offset_ms delay_ms samples_used")):
+    """A clock-offset estimate: the offset to add to the local clock to get
+    counter time, the round-trip delay of the sample it came from, and how
+    many samples were accepted. A named tuple checked in `__new__`: the
+    delay is non-negative and at least one sample was used. `best_estimate`
+    guarantees both by its arithmetic and skips the checks."""
 
-    def __post_init__(self) -> None:
-        if self.delay_ms < 0:
+    __slots__ = ()
+
+    def __new__(cls, offset_ms: int, delay_ms: int, samples_used: int) -> "ClockEstimate":
+        if delay_ms < 0:
             raise ValueError("delay must be non-negative")
-        if self.samples_used < 1:
+        if samples_used < 1:
             raise ValueError("an estimate requires at least one sample")
+        return tuple.__new__(cls, (offset_ms, delay_ms, samples_used))
 
     def counter_now(self, local_now_ms: int) -> int:
         return local_now_ms + self.offset_ms
 
 
-def _half_toward_zero(value: int) -> int:
-    return value // 2 if value >= 0 else -((-value) // 2)
+def best_estimate(samples: Iterable[SyncSample]) -> ClockEstimate:
+    """Minimum-delay estimate: the least (delay, offset) over the samples
+    whose round-trip delay (t4-t1)-(t3-t2) is non-negative, where the offset
+    ((t2-t1)+(t3-t4))/2 rounds toward zero, and how many such samples there are.
+
+    A negative delay happens when a clock stepped mid-exchange; such a sample
+    is skipped. Raises ClockSyncError when no sample is left.
+    """
+    best: tuple[int, int] | None = None
+    used = 0
+    for t1, t2, t3, t4 in samples:
+        delay = (t4 - t1) - (t3 - t2)
+        if delay < 0:
+            continue
+        used += 1
+        twice = (t2 - t1) + (t3 - t4)
+        candidate = delay, (twice // 2 if twice >= 0 else -(-twice // 2))
+        if best is None or candidate < best:
+            best = candidate
+    if best is None:
+        raise ClockSyncError("no sync sample with a non-negative round-trip delay (clock stepped?)")
+    delay, offset = best
+    # the delay is non-negative and a sample was used: `ClockEstimate`'s checks hold
+    return tuple.__new__(ClockEstimate, (offset, delay, used))
 
 
 def estimate(sample: SyncSample) -> tuple[int, int]:
-    """Offset/delay of one sample: ((t2-t1)+(t3-t4))/2 and (t4-t1)-(t3-t2).
-
-    The division rounds toward zero. Raises ClockSyncError when the computed
-    delay is negative, which happens when a clock stepped mid-exchange.
-    """
-    offset = _half_toward_zero((sample.t2 - sample.t1) + (sample.t3 - sample.t4))
-    delay = (sample.t4 - sample.t1) - (sample.t3 - sample.t2)
-    if delay < 0:
-        raise ClockSyncError(f"negative round-trip delay {delay} (clock stepped?)")
+    """Offset/delay of one sample, as `best_estimate` computes them; raises
+    ClockSyncError when the delay is negative."""
+    offset, delay, _used = best_estimate((sample,))
     return offset, delay
-
-
-def best_estimate(samples: Iterable[SyncSample]) -> ClockEstimate:
-    """Minimum-delay estimate over all accepted samples."""
-    accepted: list[tuple[int, int]] = []
-    for sample in samples:
-        try:
-            offset, delay = estimate(sample)
-        except ClockSyncError:
-            continue
-        accepted.append((delay, offset))
-    if not accepted:
-        raise ClockSyncError("no accepted sync samples")
-    delay, offset = min(accepted)
-    return ClockEstimate(offset_ms=offset, delay_ms=delay, samples_used=len(accepted))
 
 
 class Clock(Protocol):

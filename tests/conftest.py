@@ -5,16 +5,8 @@ from __future__ import annotations
 import pytest
 
 from rollcall.counter import CounterCore
-from rollcall.client import TransportError, report_step
+from rollcall.client import TransportError
 from rollcall.protocol import ExperimentConfig, Message, Report, decode_message, encode_message
-
-
-@pytest.fixture(autouse=True)
-def _no_answers_cached_across_tests():
-    """Empty `report_step`'s process-wide answer cache after each test, so no
-    test leaves the next one, here or in `bench/tests`, fewer decodes to count."""
-    yield
-    report_step.cache_clear()
 
 
 class FakeClock:

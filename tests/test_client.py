@@ -26,11 +26,12 @@ from rollcall.client import (
     run_survey,
     sync_clock,
     sync_sample,
+    sync_sample_of,
     uptime_from_file,
 )
 from rollcall.counter import CounterCore, CounterService
-from rollcall.protocol import MAX_LINE_BYTES, RoundRef
-from rollcall.timesync import ClockSyncError
+from rollcall.protocol import MAX_LINE_BYTES, Ack, Reject, RoundRef, SyncRequest, SyncResponse
+from rollcall.timesync import ClockSyncError, SyncSample
 
 from conftest import FakeClock, LoopbackTransport, make_config
 
@@ -366,6 +367,24 @@ class TestExchangePolicy:
 
     def test_sync_sample_rejects_receive_before_send(self):
         assert sync_sample("SYNCR 10 50 52", 10, 9) is None
+
+    # narrow ranges, so that a matching echo and each order are common
+    @given(st.one_of(
+        st.builds(SyncResponse, *[st.integers(0, 4)] * 3),
+        st.builds(SyncRequest, st.integers(0, 4)),
+        st.tuples(*[st.integers(0, 4)] * 3),  # a SyncResponse's fields, but no SyncResponse
+        st.sampled_from([Ack(RoundRef.cal(0)), Reject("LATE")]),
+    ), st.integers(0, 4), st.integers(0, 4))
+    def test_sync_sample_of_is_the_checked_sample(self, msg, t1, t4):
+        expected = None
+        if type(msg) is SyncResponse and msg.t1 == t1:
+            try:
+                expected = SyncSample(t1, msg.t2, msg.t3, t4)
+            except ValueError:  # t4 < t1 or t3 < t2
+                pass
+        sample = sync_sample_of(msg, t1, t4)
+        assert sample == expected
+        assert type(sample) is type(expected)
 
 
 def make_runner(config, core, clock, *, consent=None, activity=None, uptime=None,

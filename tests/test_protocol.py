@@ -26,7 +26,7 @@ from rollcall.protocol import (
     format_config,
     parse_config,
 )
-from rollcall.timesync import SyncSample
+from rollcall.timesync import ClockEstimate, SyncSample
 
 from conftest import submit
 
@@ -244,6 +244,7 @@ REPLACEMENTS = [
     (Reject("DUP"), {"reason": "NOPE"}, {"reason": "LATE"}),
     (Survey("abcdefgh", "FORGOT", ""), {"code": "NOPE"}, {"text": "popup"}),
     (SyncSample(0, 10, 12, 4), {"t4": -1}, {"t4": 5}),
+    (ClockEstimate(9, 2, 1), {"delay_ms": -1}, {"samples_used": 2}),
 ]
 
 

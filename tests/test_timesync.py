@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rollcall.timesync import (
     ClockEstimate,
@@ -85,6 +85,37 @@ class TestBestEstimate:
     def test_permutation_invariant(self, samples):
         est = best_estimate(samples)
         assert est.offset_ms == 9
+
+    # narrow ranges, so that equal delays and negative ones are common
+    @given(st.lists(st.builds(
+        lambda t1, rtt, t2, proc: SyncSample(t1, t2, t2 + proc, t1 + rtt),
+        st.integers(-5, 5), st.integers(0, 6), st.integers(-5, 5), st.integers(0, 6),
+    ), max_size=6))
+    @example([SyncSample(0, 5, 5, 4), SyncSample(0, 3, 3, 4)])  # equal delays: least offset
+    @example([SyncSample(0, 0, 10, 5), SyncSample(0, 0, 9, 5)])  # only negative delays
+    def test_equals_the_definition(self, samples):
+        accepted = []
+        for t1, t2, t3, t4 in samples:
+            delay = (t4 - t1) - (t3 - t2)
+            if delay >= 0:
+                accepted.append((delay, int(((t2 - t1) + (t3 - t4)) / 2)))  # toward zero
+        if not accepted:
+            with pytest.raises(ClockSyncError):
+                best_estimate(samples)
+            return
+        delay, offset = min(accepted)
+        est = best_estimate(samples)
+        assert type(est) is ClockEstimate
+        assert est == ClockEstimate(offset_ms=offset, delay_ms=delay, samples_used=len(accepted))
+
+
+class TestClockEstimate:
+    def test_checks(self):
+        with pytest.raises(ValueError):
+            ClockEstimate(offset_ms=0, delay_ms=-1, samples_used=1)
+        with pytest.raises(ValueError):
+            ClockEstimate(offset_ms=0, delay_ms=0, samples_used=0)
+        assert ClockEstimate(-7, 0, 1) == (-7, 0, 1)
 
 
 class TestWaitUntil:
