@@ -74,6 +74,8 @@ class TcpTransport:
     timed exchange such as a SYNC. If connecting fails, the next request
     connects again and reports the failure. An answer is a UTF-8 line of at
     most MAX_LINE_BYTES bytes ended by "\\n"; anything else fails the request.
+    As on the counter, one "\\r" before the "\\n" is dropped, and any other
+    is part of the line.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -106,7 +108,7 @@ class TcpTransport:
                     f"answer line longer than {MAX_LINE_BYTES} bytes"
                     if len(raw) > MAX_LINE_BYTES else "counter closed the connection"
                 )
-            return raw.decode("utf-8").rstrip("\r\n")
+            return raw[:-1].decode("utf-8").removesuffix("\r")
         except (OSError, UnicodeDecodeError) as exc:
             connected = self._sock is not None
             self.close()
@@ -152,9 +154,11 @@ class UptimeRecord:
 class RoundOutcome(Enum):
     """How one round ended for the client.
 
-    FAILED means that no final answer was heard before the estimated window
-    close, so a FAILED round may still have been counted: the counter may
-    have accepted a REPORT whose answer was lost.
+    FAILED means that the counter gave a final answer other than ACK or DUP
+    (REJ LATE, BADTOKEN, BADROUND or MALFORMED, or a message that answers no
+    REPORT), or that no final answer was heard before the estimated window
+    close. In the second case the round may still have been counted: the
+    counter may have accepted a REPORT whose answer was lost.
     """
 
     REPORTED = "REPORTED"
@@ -255,51 +259,43 @@ def uptime_from_file(path: str | Path) -> Callable[[], list[UptimeRecord]]:
 # --- sans-I/O exchange policy, shared with the simulator -----------------------
 
 
-class ReportStep(Enum):
-    DONE = "DONE"
-    RETRY = "RETRY"
-    GIVE_UP = "GIVE_UP"
-
-
 @lru_cache(maxsize=64)
-def report_step(response: str) -> ReportStep:
-    """What the sender of a REPORT does with the counter's answer.
+def report_step(response: str) -> RoundOutcome | None:
+    """The outcome a counter's answer line to a REPORT settles, or None while
+    another attempt is worth making.
 
-    ACK is done, and so is DUP: an earlier attempt landed. EARLY, or a line
-    that does not decode, is worth another attempt while the report window
-    is open; any other answer is final. Answers take few distinct values,
-    so each is decoded once while it stays in the bounded cache.
+    ACK is REPORTED, and so is DUP: an earlier attempt landed. EARLY, or a
+    line that does not decode, settles nothing while the report window is
+    open; any other answer is final and FAILED. Answers take few distinct
+    values, so each is decoded once while it stays in the bounded cache.
     """
     try:
         msg = decode_message(response)
     except MalformedLine:
-        return ReportStep.RETRY
+        return None
     if isinstance(msg, Ack):
-        return ReportStep.DONE
+        return RoundOutcome.REPORTED
     reason = msg.reason if isinstance(msg, Reject) else None
     if reason == "DUP":
-        return ReportStep.DONE
+        return RoundOutcome.REPORTED
     if reason == "EARLY":
-        return ReportStep.RETRY
-    return ReportStep.GIVE_UP
-
-
-def sync_sample(response: str, t1: int, t4: int) -> SyncSample | None:
-    """The sample a counter's answer line to `SYNC t1` yields, or None if unusable."""
-    try:
-        msg = decode_message(response)
-    except MalformedLine:
         return None
-    return sync_sample_of(msg, t1, t4)
+    return RoundOutcome.FAILED
 
 
-def sync_sample_of(msg: Message, t1: int, t4: int) -> SyncSample | None:
-    """The sample a counter's decoded answer to `SYNC t1` yields, or None if
-    it is no `SyncResponse`, echoes another t1, or has its timestamps out of
-    order (t4 < t1 or t3 < t2)."""
-    if type(msg) is not SyncResponse:
+def sync_sample(answer: str | Message, t1: int, t4: int) -> SyncSample | None:
+    """The sample the counter's answer to `SYNC t1` yields, given as its line
+    or as the decoded message; None if the line does not decode, or the
+    answer is no `SyncResponse`, echoes another t1, or has its timestamps
+    out of order (t4 < t1 or t3 < t2)."""
+    if type(answer) is str:
+        try:
+            answer = decode_message(answer)
+        except MalformedLine:
+            return None
+    if type(answer) is not SyncResponse:
         return None
-    echoed, t2, t3 = msg
+    echoed, t2, t3 = answer
     if echoed != t1 or t4 < t1 or t3 < t2:
         return None
     return tuple.__new__(SyncSample, (t1, t2, t3, t4))  # `SyncSample`'s checks, made above
@@ -472,13 +468,11 @@ class ClientRunner:
         self._wait_counter(self.config.window_open(round) + self.options.send_margin_ms)
         while self._counter_now() <= self.config.window_close(round):
             try:
-                step = report_step(self.transport.request(line))
+                outcome = report_step(self.transport.request(line))
             except TransportError:
-                step = ReportStep.RETRY
-            if step is ReportStep.DONE:
-                return RoundOutcome.REPORTED
-            if step is ReportStep.GIVE_UP:
-                return RoundOutcome.FAILED
+                outcome = None
+            if outcome is not None:
+                return outcome
             self.clock.sleep_ms(self.options.retry_ms)
         return RoundOutcome.FAILED
 

@@ -156,13 +156,13 @@ class EventLog:
             self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             self._end = self._synced = os.lseek(self._fd, 0, os.SEEK_END)
 
-    def append(self, arrival_ms: int, tag: str, raw: str) -> str:
+    def append(self, arrival_ms: int, tag: str, raw: str) -> None:
         line = f"{arrival_ms} {tag} {raw}"
         if self._stopped is not None:
             raise CounterError(self._stopped)
         if self._fd is None:
             self.lines.append(line)
-            return line
+            return
         data = f"{line}\n".encode("utf-8")
         try:
             if os.write(self._fd, data) != len(data):
@@ -173,7 +173,6 @@ class EventLog:
             self._stopped = f"the log stopped after a failed append: {exc}"
             raise CounterError(self._stopped) from exc
         self._end += len(data)
-        return line
 
     def sync(self) -> None:
         """Return once every line appended before the call is durable.

@@ -5,7 +5,7 @@ A virtual millisecond clock drives M scripted clients, one in-process counter
 loss, per-direction asymmetry and fault injection. Clients synchronize their
 clocks through real SYNC exchanges, derive real tokens, and judge every
 answer with the live client's own functions (`report_step`, and
-`sync_sample` or its value half `sync_sample_of`), so the simulation
+`sync_sample`, which takes an answer's line or its value), so the simulation
 validates the end-to-end protocol and measures the decision rule. A traced
 run is the text reference: every request and answer crosses the net as its
 wire line and is decoded where it lands. An untraced run passes messages as
@@ -34,14 +34,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import stats
-from .client import (
-    ReportStep,
-    UptimeRecord,
-    certify_shutdown,
-    report_step,
-    sync_sample,
-    sync_sample_of,
-)
+from .client import UptimeRecord, certify_shutdown, report_step, sync_sample
 from .counter import CounterCore
 from .protocol import (
     ExperimentConfig,
@@ -202,10 +195,10 @@ class VirtualNet:
     never asks `_lost`, the one drop decision, whose buffer holds loss draws
     already compared with the loss probability.
     Without a trace on a net that neither drops nor duplicates, each REPORT
-    answer is judged with `report_step` as it is delivered, and only a RETRY
-    calls its client back: each request then gets exactly one answer and no
-    poll timer runs, so nothing reads what a DONE or GIVE_UP answer would
-    settle.
+    answer is judged with `report_step` as it is delivered, and only one
+    that settles no outcome calls its client back: each request then gets
+    exactly one answer and no poll timer runs, so nothing reads the outcome
+    a settling answer gives.
     """
 
     def __init__(
@@ -304,7 +297,7 @@ class VirtualNet:
         elif (
             not self.judges_reports
             or type(msg) is not Report
-            or report_step(response) is ReportStep.RETRY
+            or report_step(response) is None
         ):
             self.loop.schedule(at, on_response, response, *ctx)
 
@@ -452,11 +445,7 @@ class SimClient:
         """Take the counter's answer: its line on a traced run, else its value."""
         if len(self._sync_samples) != expected or self.offset_est is not None:
             return  # a retry already completed this exchange
-        t4 = self.sim.loop.now - self.true_offset
-        if type(answer) is str:
-            sample = sync_sample(answer, t1, t4)
-        else:
-            sample = sync_sample_of(answer, t1, t4)
+        sample = sync_sample(answer, t1, self.sim.loop.now - self.true_offset)
         if sample is None:
             return
         self._sync_samples.append(sample)
@@ -514,7 +503,7 @@ class SimClient:
     def _on_answer(self, response: str, plan: _RoundPlan) -> None:
         if plan.column in self._settled:
             return
-        if report_step(response) is ReportStep.RETRY:
+        if report_step(response) is None:
             self.sim.loop.schedule(self.sim.loop.now + self.sim.spec.retry_ms, self._try_send, plan)
         else:
             self._settled.add(plan.column)

@@ -11,7 +11,6 @@ from rollcall.client import (
     ClientError,
     ClientOptions,
     ClientRunner,
-    ReportStep,
     RoundOutcome,
     TcpTransport,
     TransportError,
@@ -26,11 +25,18 @@ from rollcall.client import (
     run_survey,
     sync_clock,
     sync_sample,
-    sync_sample_of,
     uptime_from_file,
 )
 from rollcall.counter import CounterCore, CounterService
-from rollcall.protocol import MAX_LINE_BYTES, Ack, Reject, RoundRef, SyncRequest, SyncResponse
+from rollcall.protocol import (
+    MAX_LINE_BYTES,
+    Ack,
+    Reject,
+    RoundRef,
+    SyncRequest,
+    SyncResponse,
+    encode_message,
+)
 from rollcall.timesync import ClockSyncError, SyncSample
 
 from conftest import FakeClock, LoopbackTransport, make_config
@@ -207,6 +213,18 @@ class TestTcpAnswerLines:
             for conn in accepted:
                 conn.close()
 
+    def test_only_one_cr_is_dropped(self):
+        # as on the counter: one "\r" before the "\n" ends the line, another is part of it
+        address, accepted, thread = self._peer(b"ACK CAL 0\r\r\n", hold_open=True, connections=1)
+        transport = TcpTransport(*address)
+        try:
+            assert transport.request("SYNC 1") == "ACK CAL 0\r"
+            thread.join(timeout=5)
+        finally:
+            transport.close()
+            for conn in accepted:
+                conn.close()
+
     def test_answer_of_max_length(self):
         answer = b"A" * MAX_LINE_BYTES
         address, accepted, thread = self._peer(answer + b"\n", hold_open=True, connections=1)
@@ -323,26 +341,26 @@ class TestSyncAndSurvey:
 
 
 class TestExchangePolicy:
-    @pytest.mark.parametrize("response, step", [
-        ("ACK CAL 0", ReportStep.DONE),
-        ("ACK EXE 0", ReportStep.DONE),
-        ("REJ DUP", ReportStep.DONE),
-        ("REJ EARLY", ReportStep.RETRY),
-        ("", ReportStep.RETRY),
-        ("ACK CAL", ReportStep.RETRY),
-        ("REJ SOON", ReportStep.RETRY),
-        ("garbage \u2028 line", ReportStep.RETRY),
-        ("REJ LATE", ReportStep.GIVE_UP),
-        ("REJ BADTOKEN", ReportStep.GIVE_UP),
-        ("REJ BADROUND", ReportStep.GIVE_UP),
-        ("REJ MALFORMED", ReportStep.GIVE_UP),
-        ("SYNCR 1 2 3", ReportStep.GIVE_UP),
-        ("SYNC 1", ReportStep.GIVE_UP),
-        ("SURVEY abcdefgh FORGOT -", ReportStep.GIVE_UP),
-        ("REPORT CAL 0 abcdefgh " + "0" * 32, ReportStep.GIVE_UP),
+    @pytest.mark.parametrize("response, outcome", [
+        ("ACK CAL 0", RoundOutcome.REPORTED),
+        ("ACK EXE 0", RoundOutcome.REPORTED),
+        ("REJ DUP", RoundOutcome.REPORTED),
+        ("REJ EARLY", None),
+        ("", None),
+        ("ACK CAL", None),
+        ("REJ SOON", None),
+        ("garbage \u2028 line", None),
+        ("REJ LATE", RoundOutcome.FAILED),
+        ("REJ BADTOKEN", RoundOutcome.FAILED),
+        ("REJ BADROUND", RoundOutcome.FAILED),
+        ("REJ MALFORMED", RoundOutcome.FAILED),
+        ("SYNCR 1 2 3", RoundOutcome.FAILED),
+        ("SYNC 1", RoundOutcome.FAILED),
+        ("SURVEY abcdefgh FORGOT -", RoundOutcome.FAILED),
+        ("REPORT CAL 0 abcdefgh " + "0" * 32, RoundOutcome.FAILED),
     ])
-    def test_report_step(self, response, step):
-        assert report_step(response) is step
+    def test_report_step(self, response, outcome):
+        assert report_step(response) is outcome
 
     def test_report_step_cache_is_bounded_and_exact(self):
         forms = ["ACK CAL {}", "SYNC {}", "REJ EARLY{}", "ACK CAL 0{}", "garbage {}"]
@@ -375,16 +393,20 @@ class TestExchangePolicy:
         st.tuples(*[st.integers(0, 4)] * 3),  # a SyncResponse's fields, but no SyncResponse
         st.sampled_from([Ack(RoundRef.cal(0)), Reject("LATE")]),
     ), st.integers(0, 4), st.integers(0, 4))
-    def test_sync_sample_of_is_the_checked_sample(self, msg, t1, t4):
+    def test_sync_sample_is_the_checked_sample(self, msg, t1, t4):
         expected = None
         if type(msg) is SyncResponse and msg.t1 == t1:
             try:
                 expected = SyncSample(t1, msg.t2, msg.t3, t4)
             except ValueError:  # t4 < t1 or t3 < t2
                 pass
-        sample = sync_sample_of(msg, t1, t4)
+        sample = sync_sample(msg, t1, t4)
         assert sample == expected
         assert type(sample) is type(expected)
+        if type(msg) is not tuple:  # a message: its line gives the same sample
+            from_line = sync_sample(encode_message(msg), t1, t4)
+            assert from_line == sample and type(from_line) is type(sample)
+            assert sync_sample(encode_message(msg) + " ", t1, t4) is None  # does not decode
 
 
 def make_runner(config, core, clock, *, consent=None, activity=None, uptime=None,
@@ -507,6 +529,19 @@ class TestRunnerLifecycle:
         assert answers == ["REJ EARLY", "ACK CAL 0", "ACK CAL 1", "ACK CAL 2", "ACK EXE 0"]
         assert 100 in clock.sleeps  # retry_ms before the second attempt
         assert core.tallies[RoundRef.cal(0)].count == 1
+
+    def test_final_reject_fails_after_one_report(self, config):
+        clock = FakeClock(start_ms=config.epoch_ms - 10_000)
+        core = CounterCore(config)
+        runner, transport = make_runner(config, core, clock, uptime=full_uptime(config))
+        forward, reports = transport.request, []
+        transport.request = lambda line: (
+            reports.append(line) or "REJ LATE" if line.startswith("REPORT") else forward(line)
+        )
+        outcomes = runner.run()
+        assert all(v == RoundOutcome.FAILED for v in outcomes.values())
+        rounds = [" ".join(line.split()[1:3]) for line in reports]
+        assert rounds == [round.wire() for round in config.rounds()]  # one REPORT each
 
     def test_sync_unreachable_raises_client_error(self, config):
         clock = FakeClock(start_ms=config.epoch_ms - 10_000)

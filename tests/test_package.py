@@ -2,6 +2,7 @@
 when one of its names is used: the counter, the client and `analyze` run on
 the standard library alone."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,6 +61,30 @@ def test_star_import_binds_every_public_name():
     exec("from rollcall import *", namespace)
     assert set(rollcall.__all__) <= namespace.keys()
     assert namespace["monte_carlo"] is sim.monte_carlo
+
+
+def unused_imports(source):
+    """The names that `source` imports and never references;
+    `from __future__` imports bind no name and are left out."""
+    tree = ast.parse(source)
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    return [name for name in imported if name not in referenced]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports("import os.path, re\nfrom a import b as c, d\nre, d") == ["os", "c"]
+    # the package's own `__init__` imports names only to re-export them
+    modules = sorted(path for path in SRC.joinpath("rollcall").glob("*.py")
+                     if path.name != "__init__.py")
+    assert modules
+    for path in modules:
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_unknown_attribute_is_an_attribute_error():

@@ -367,8 +367,8 @@ def reply_specs(draw):
 
 class TestReplyFastPath:
     """Untraced on a net that neither drops nor duplicates, a REPORT answer is
-    judged at delivery and only a RETRY becomes an event; the traced run,
-    which keeps every reply event, is the reference."""
+    judged at delivery and only one that settles no outcome becomes an event;
+    the traced run, which keeps every reply event, is the reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(reply_specs())

@@ -16,7 +16,6 @@ from rollcall.client import (
     REQUEST_TIMEOUT_S,
     ClientError,
     ClientRunner,
-    ReportStep,
     RoundOutcome,
     TransportError,
     UptimeRecord,
@@ -157,11 +156,15 @@ def test_a_faulty_population_keeps_every_invariant():
         for round, outcome in by_round.items():
             outcomes[outcome] += 1
             assert (outcome is RoundOutcome.REPORTED) == ((round, who.nonce) in core.seen)
-            if outcome is RoundOutcome.FAILED:
-                answers = [answer for line, answer in transport.reports
-                           if decode_message(line).round == round]
-                assert all(answer is None or report_step(answer) is ReportStep.GIVE_UP
-                           for answer in answers)
+            # the answer to the last REPORT settles the round, unless it was lost
+            # or settles nothing, and then the window closed first
+            answers = [None if i in transport.lost_replies else answer
+                       for i, (line, answer) in enumerate(transport.reports)
+                       if decode_message(line).round == round]
+            if answers or outcome in (RoundOutcome.REPORTED, RoundOutcome.FAILED):
+                last = answers[-1] if answers else None
+                settled = None if last is None else report_step(last)
+                assert outcome is (RoundOutcome.FAILED if settled is None else settled)
     for round in config.rounds():
         reported = sum(by_round is not None and by_round[round] is RoundOutcome.REPORTED
                        for _who, by_round, _transport in results)
