@@ -193,12 +193,29 @@ class VirtualNet:
     answers with a line, which the client decodes, and that run is the
     reference. A net that cannot drop (no loss probability, no loss burst)
     never asks `_lost`, the one drop decision, whose buffer holds loss draws
-    already compared with the loss probability.
-    Without a trace on a net that neither drops nor duplicates, each REPORT
-    answer is judged with `report_step` as it is delivered, and only one
-    that settles no outcome calls its client back: each request then gets
-    exactly one answer and no poll timer runs, so nothing reads the outcome
-    a settling answer gives.
+    already compared with the loss probability (all `False`, with nothing
+    drawn, when it is 0).
+
+    One rule decides which untraced REPORT answers become events; a traced
+    run makes every answer an event (`_reply`).
+    - A net that neither drops nor duplicates: each answer is judged with
+      `report_step` as it is delivered, and only one that settles nothing
+      calls its client back. Each request gets exactly one answer and no
+      poll timer runs, so nothing reads what a settling answer settles, and
+      nothing is recorded.
+    - Any other net where even the worst round trip, `2 * max_latency_ms +
+      asym_up_ms`, is shorter than the client's poll delay (`retry_ms` above
+      `asym_up_ms`): each answer goes to its client's `_answer_due` as it
+      is delivered, with the time it lands. The client ignores an answer to
+      a settled round, settles the round at once for an answer that settles
+      it, and makes an event of an answer that settles nothing, marking its
+      round so that every later answer of that round is an event too. Each
+      answer lands before its own send's poll reads the round. An earlier
+      send's poll can be pending only in the second chain of sends that a
+      non-settling answer starts, and a round's `REJ EARLY` answers are
+      delivered before its in-window ones, so the mark is set before that
+      chain matters.
+    - Otherwise every answer is an event.
     """
 
     def __init__(
@@ -209,17 +226,24 @@ class VirtualNet:
         faults: FaultPlan,
         counter: CounterCore,
         trace: list[str] | None,
+        poll_ms: int,
     ) -> None:
         self.loop = loop
         self.rng = rng
         self.net = net
-        self.faults = faults
         self.counter = counter
         self.trace = trace
         self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
         self.judges_reports = trace is None and not self.can_drop and not faults.duplicate_reports
+        self.hands_answers = (
+            trace is None
+            and not self.judges_reports
+            and 2 * net.max_latency_ms + net.asym_up_ms < poll_ms
+        )
         self.asym_up_ms = net.asym_up_ms
         self.duplicates = faults.duplicate_reports
+        start, end = faults.loss_burst or (0, -1)
+        self._burst = range(start, end + 1)  # the virtual times it drops every send
         self._lat_buf: list[int] = []
         self._loss_buf: list[bool] = []
 
@@ -234,24 +258,30 @@ class VirtualNet:
             self._lat_buf = self.rng.integers(low, high + 1, size=self._BUF).tolist()
         return self._lat_buf
 
+    def _losses(self) -> list[bool]:
+        """A full buffer of loss decisions to pop from; no loss probability draws nothing."""
+        loss_prob = self.net.loss_prob
+        if loss_prob == 0.0:
+            self._loss_buf = [False] * self._BUF
+        else:
+            self._loss_buf = (self.rng.random(size=self._BUF) < loss_prob).tolist()
+        return self._loss_buf
+
     def _lost(self, at_ms: int) -> bool:
-        burst = self.faults.loss_burst
-        if burst is not None and burst[0] <= at_ms <= burst[1]:
+        if at_ms in self._burst:
             return True
-        if self.net.loss_prob <= 0.0:
-            return False
-        if not self._loss_buf:
-            self._loss_buf = (self.rng.random(size=self._BUF) < self.net.loss_prob).tolist()
-        return self._loss_buf.pop()
+        return (self._loss_buf or self._losses()).pop()
 
     def request(
         self,
         line: str,
+        client: "SimClient",
         on_response: Callable[..., None],
         *ctx: object,
         msg: Report | SyncRequest,
     ) -> None:
-        """One client-to-counter exchange; `on_response(response, *ctx)` runs if answered.
+        """One exchange from `client` to the counter; `on_response(response, *ctx)`
+        runs if answered.
 
         `msg` is `line` decoded; an untraced SYNC's line is empty, since only a
         trace would read it. An untraced delivery hands `msg` to the counter,
@@ -269,11 +299,12 @@ class VirtualNet:
                     trace.append(f"{now} DROP {line}")
                 continue
             up = (self._lat_buf or self._latencies()).pop() + self.asym_up_ms
-            self.loop.schedule(now + up, self._deliver, line, on_response, ctx, msg)
+            self.loop.schedule(now + up, self._deliver, line, client, on_response, ctx, msg)
 
     def _deliver(
         self,
         line: str,
+        client: "SimClient",
         on_response: Callable[..., None],
         ctx: tuple,
         msg: Report | SyncRequest,
@@ -294,11 +325,11 @@ class VirtualNet:
         at = now + (self._lat_buf or self._latencies()).pop()
         if trace is not None:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
-        elif (
-            not self.judges_reports
-            or type(msg) is not Report
-            or report_step(response) is None
-        ):
+        elif type(msg) is not Report:
+            self.loop.schedule(at, on_response, response, *ctx)
+        elif self.hands_answers:
+            client._answer_due(response, at, *ctx)
+        elif not self.judges_reports or report_step(response) is None:
             self.loop.schedule(at, on_response, response, *ctx)
 
     def _reply(self, response: str, on_response: Callable[..., None], ctx: tuple) -> None:
@@ -416,6 +447,7 @@ class SimClient:
         self._sync_samples: list[SyncSample] = []
         self._sync_attempts = 0
         self._settled: set[int] = set()  # columns of rounds acknowledged or given up
+        self._marked: set[int] = set()  # columns of rounds with an answer that settled nothing
         # the true offset less the estimated one, once synced: the virtual time
         # at which the client thinks counter time t has come is t + skew
         self.skew = 0
@@ -436,10 +468,9 @@ class SimClient:
         # only a trace reads the line; `SyncRequest` has no checks to skip
         line = f"SYNC {t1}" if sim.trace is not None else ""
         request = tuple.__new__(SyncRequest, (t1,))
-        sim.net.request(line, self._on_sync_answer, t1, expected, msg=request)
+        sim.net.request(line, self, self._on_sync_answer, t1, expected, msg=request)
         if sim.net.can_drop:  # else the response always arrives and drives the next step
-            timeout = sim.spec.retry_ms + 2 * sim.spec.net.max_latency_ms + 50
-            sim.loop.schedule(sim.loop.now + timeout, self._on_sync_timeout, expected)
+            sim.loop.schedule(sim.loop.now + sim.sync_timeout_ms, self._on_sync_timeout, expected)
 
     def _on_sync_answer(self, answer: str | SyncResponse, t1: int, expected: int) -> None:
         """Take the counter's answer: its line on a traced run, else its value."""
@@ -494,13 +525,38 @@ class SimClient:
         # the nonce was checked once and the token cut from a real Report, so
         # the message skips the checks, as the decoder's do
         report = tuple.__new__(Report, (plan.round, self.nonce, plan.token))
-        sim.net.request(f"{plan.head} {self.nonce} {plan.token}", self._on_answer, plan, msg=report)
+        line = f"{plan.head} {self.nonce} {plan.token}"
+        sim.net.request(line, self, self._on_answer, plan, msg=report)
         if sim.net.can_drop:
             # a lost request or reply never answers; poll until the window closes
-            retry_at = sim.loop.now + sim.spec.retry_ms + 2 * sim.spec.net.max_latency_ms
-            sim.loop.schedule(retry_at, self._try_send, plan)
+            sim.loop.schedule(sim.loop.now + sim.poll_ms, self._try_send, plan)
+
+    def _answer_due(self, response: str, at: int, plan: _RoundPlan) -> None:
+        """Take a REPORT answer as it is delivered; it lands at virtual time `at`.
+
+        Called only where `VirtualNet.hands_answers` holds. An answer that
+        settles the round settles it now, unless an earlier answer of the
+        round settled nothing; such an answer, and every later one of its
+        round, is an `_on_answer` event at `at`.
+        """
+        column = plan.column
+        if column in self._settled:
+            return
+        if column in self._marked or report_step(response) is None:
+            self._marked.add(column)
+            self.sim.loop.schedule(at, self._on_answer, response, plan)
+        else:
+            self._settled.add(column)
 
     def _on_answer(self, response: str, plan: _RoundPlan) -> None:
+        """Judge a REPORT answer as it lands: settle its round, or retry.
+
+        A traced run calls this for every answer. An untraced one calls it
+        only for the answers `VirtualNet`'s rule makes events: on a net that
+        neither drops nor duplicates, those that settle nothing; where the
+        net hands answers to `_answer_due`, those and every later answer of
+        their round; on any other net, every answer.
+        """
         if plan.column in self._settled:
             return
         if report_step(response) is None:
@@ -518,13 +574,19 @@ class Simulation:
         self.counter = CounterCore(spec.config)
         self.plans = list(_round_plans(spec.config))
         self.sync_offsets: dict[int, int] = {}
+        # the client timers on a net that can drop: a REPORT send polls retry_ms
+        # after the longest round trip without asymmetry, a SYNC 50 ms later
+        self.poll_ms = spec.retry_ms + 2 * spec.net.max_latency_ms
+        self.sync_timeout_ms = self.poll_ms + 50
         self._certified: dict[int, bool] = {}  # `certify_shutdown` per clock skew
         # each client's true clock offset; reversed, so the first entry for an index wins
         self.clock_offsets = dict(reversed(spec.faults.clock_offsets))
         net_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((spec.seed, _NET_STREAM_TAG)))
         )
-        self.net = VirtualNet(self.loop, net_rng, spec.net, spec.faults, self.counter, self.trace)
+        self.net = VirtualNet(
+            self.loop, net_rng, spec.net, spec.faults, self.counter, self.trace, self.poll_ms
+        )
         # window closes strictly increase and each close event is the first of
         # its millisecond, so each closes its own round and only that one
         for plan in self.plans:

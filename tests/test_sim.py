@@ -329,7 +329,9 @@ class TestHopWork:
 @st.composite
 def reply_specs(draw):
     """Specs that draw EARLY answers (negative margins), LATE ones (short grace),
-    clock faults, loss bursts, and nets with and without drops and duplicates."""
+    clock faults, loss bursts, nets with and without drops and duplicates, and
+    uplink asymmetries on both sides of `retry_ms`, the bound under which an
+    untraced run settles REPORT answers at delivery."""
     m = draw(st.integers(1, 40))
     low = draw(st.integers(0, 60))
     clients = st.integers(0, m - 1)
@@ -350,7 +352,7 @@ def reply_specs(draw):
             min_latency_ms=low,
             max_latency_ms=low + draw(st.integers(0, 100)),
             loss_prob=draw(st.sampled_from([0.0, 0.1])),
-            asym_up_ms=draw(st.integers(0, 50)),
+            asym_up_ms=draw(st.integers(0, 500)),
         ),
         faults=FaultPlan(
             duplicate_reports=draw(st.booleans()),
@@ -365,13 +367,31 @@ def reply_specs(draw):
     )
 
 
+# on a fixed latency, an answer lands exactly at its own send's poll when
+# retry_ms equals asym_up_ms, and 1 ms before it when retry_ms is one more:
+# the first run needs the guard, the second the per-round mark
+BOUNDARY = [
+    small_spec(net=NetModel(50, 50, loss_prob=0.1, asym_up_ms=30),
+               faults=FaultPlan(duplicate_reports=True), send_margin_ms=-100, retry_ms=retry)
+    for retry in (30, 31)
+]
+
+
 class TestReplyFastPath:
-    """Untraced on a net that neither drops nor duplicates, a REPORT answer is
-    judged at delivery and only one that settles no outcome becomes an event;
-    the traced run, which keeps every reply event, is the reference."""
+    """Which untraced REPORT answers become events; the traced run, which keeps
+    every reply event, is the reference. On a net that neither drops nor
+    duplicates, an answer is judged at delivery and only one that settles
+    nothing becomes an event: each request gets one answer and no poll runs,
+    so nothing needs recording. On any other net where the worst round trip
+    is shorter than the poll delay (`retry_ms > asym_up_ms`), an answer goes
+    to its client at delivery, which settles the round at once unless an
+    answer of that round settled nothing before; such a round is marked and
+    all its answers from then on are events. Elsewhere every answer is one."""
 
     @settings(max_examples=150, deadline=None)
     @given(reply_specs())
+    @example(BOUNDARY[0])
+    @example(BOUNDARY[1])
     def test_an_untraced_run_equals_the_traced_run(self, spec):
         traced = run_scenario(spec)
         untraced = run_scenario(spec, capture_trace=False)
@@ -399,6 +419,49 @@ class TestReplyFastPath:
         untraced = run_scenario(early, capture_trace=False)
         assert answers == ["REJ EARLY"] * report_answers.count("REJ EARLY")
         assert (untraced.counts, untraced.n_star) == (traced.counts, traced.n_star)
+
+    def test_only_rounds_with_a_retry_call_the_client_back_on_a_lossy_net(self, monkeypatch):
+        calls = []  # (client, round column, answer) per call
+        real = sim.SimClient._on_answer
+        monkeypatch.setattr(
+            sim.SimClient, "_on_answer",
+            lambda client, response, plan: calls.append((client.index, plan.column, response))
+            or real(client, response, plan),
+        )
+        lossy = dict(net=NetModel(loss_prob=0.2), faults=FaultPlan(duplicate_reports=True))
+
+        def run(**overrides):
+            calls.clear()
+            outcome = run_scenario(small_spec(**{**lossy, **overrides}), capture_trace=False)
+            return outcome, list(calls)
+
+        def traced_run(**overrides):
+            calls.clear()
+            outcome = run_scenario(small_spec(**{**lossy, **overrides}))
+            replies = [line.split(" ", 2)[2] for line in outcome.event_trace
+                       if line.split()[1] == "REPLY" and line.split()[2] != "SYNCR"]
+            assert [answer for _client, _column, answer in calls] == replies
+            return outcome, list(calls)
+
+        traced, traced_calls = traced_run()
+        assert traced_calls and all(answer != "REJ EARLY" for *_, answer in traced_calls)
+        assert run()[1] == []
+
+        traced, traced_calls = traced_run(send_margin_ms=-100)
+        untraced, untraced_calls = run(send_margin_ms=-100)
+        early = [call for call in traced_calls if call[2] == "REJ EARLY"]
+        assert [call for call in untraced_calls if call[2] == "REJ EARLY"] == early
+        marked = {(client, column) for client, column, _answer in early}
+        assert all((client, column) in marked for client, column, _answer in untraced_calls)
+        assert len(untraced_calls) > len(early)  # a marked round's later answers
+        assert untraced.counter_log == traced.counter_log
+
+        for asym_up_ms in (250, 300):  # retry_ms is 250: every answer is an event
+            net = NetModel(loss_prob=0.2, asym_up_ms=asym_up_ms)
+            traced, traced_calls = traced_run(net=net)
+            untraced, untraced_calls = run(net=net)
+            assert untraced_calls == traced_calls
+            assert untraced.counter_log == traced.counter_log
 
 
 class TestCollector:
@@ -672,6 +735,15 @@ class TestGoldenRuns:
             lambda out: any(line.endswith(" REJ DUP") for line in out.event_trace)
             and any(" DROP-REPLY SYNCR " in line for line in out.event_trace),
             "6b05466dbcaf8d51f0afea30662ee9009d9f8520997ff796e4d3586f2647ea02",
+        ),
+        # every client's eight SYNC attempts (0, 400, ..., 2800 ms) fall in the
+        # burst, so each one flies blind at offset 0
+        "sync-outage": (
+            dict(faults=FaultPlan(loss_burst=(0, 3_000))),
+            lambda out: len(out.sync_offsets) == 40
+            and set(out.sync_offsets.values()) == {0}
+            and not any(" REPLY SYNCR " in line for line in out.event_trace),
+            "dc5ef90c1ae0d1921a08b3f7c9f0a9720026f51f07467ebefe37bd91a4d94243",
         ),
     }
 
