@@ -10,11 +10,12 @@ immune to duplicate deliveries and moderate loss.
 from dataclasses import replace
 
 from rollcall import sim
-from rollcall.timesync import SyncSample, estimate
+from rollcall.timesync import SyncSample, best_estimate
 
 print("-- the four-timestamp estimator ------------------------------")
 sample = SyncSample(t1=0, t2=10, t3=12, t4=4)
-print(f"sample {sample} -> offset, delay = {estimate(sample)}")
+est = best_estimate((sample,))
+print(f"sample {sample} -> offset, delay = {est.offset_ms}, {est.delay_ms}")
 
 spec = sim.ScenarioSpec(
     m_clients=30,

@@ -196,26 +196,24 @@ class VirtualNet:
     already compared with the loss probability (all `False`, with nothing
     drawn, when it is 0).
 
-    One rule decides which untraced REPORT answers become events; a traced
-    run makes every answer an event (`_reply`).
-    - A net that neither drops nor duplicates: each answer is judged with
-      `report_step` as it is delivered, and only one that settles nothing
-      calls its client back. Each request gets exactly one answer and no
-      poll timer runs, so nothing reads what a settling answer settles, and
-      nothing is recorded.
-    - Any other net where even the worst round trip, `2 * max_latency_ms +
-      asym_up_ms`, is shorter than the client's poll delay (`retry_ms` above
-      `asym_up_ms`): each answer goes to its client's `_answer_due` as it
-      is delivered, with the time it lands. The client ignores an answer to
-      a settled round, settles the round at once for an answer that settles
-      it, and makes an event of an answer that settles nothing, marking its
-      round so that every later answer of that round is an event too. Each
-      answer lands before its own send's poll reads the round. An earlier
-      send's poll can be pending only in the second chain of sends that a
-      non-settling answer starts, and a round's `REJ EARLY` answers are
-      delivered before its in-window ones, so the mark is set before that
-      chain matters.
-    - Otherwise every answer is an event.
+    One rule decides which REPORT answers become events:
+    - An untraced run where no poll can read a round before its answer lands
+      (`hands_answers`): a net that cannot drop runs no polls, and on one
+      that can, even the worst round trip, `2 * max_latency_ms +
+      asym_up_ms`, is shorter than the client's poll delay (`retry_ms`
+      above `asym_up_ms`). Each answer goes to its client's `_answer_due`
+      as it is delivered, with the time it lands. The client ignores an
+      answer to a settled round, settles the round at once for an answer
+      that settles it, and makes an event of an answer that settles nothing
+      (`report_step` gives None), marking its round so that every later
+      answer of that round is an event too. Only a send reads what an
+      answer settles, and each answer lands before its own send's poll
+      reads the round. An earlier send's poll can be pending only in the
+      second chain of sends that a non-settling answer starts, and a
+      round's `REJ EARLY` answers are delivered before its in-window ones,
+      so the mark is set before that chain matters.
+    - Otherwise, and on every traced run, every answer is an event
+      (`_reply` when traced).
     """
 
     def __init__(
@@ -234,11 +232,8 @@ class VirtualNet:
         self.counter = counter
         self.trace = trace
         self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
-        self.judges_reports = trace is None and not self.can_drop and not faults.duplicate_reports
-        self.hands_answers = (
-            trace is None
-            and not self.judges_reports
-            and 2 * net.max_latency_ms + net.asym_up_ms < poll_ms
+        self.hands_answers = trace is None and (
+            not self.can_drop or 2 * net.max_latency_ms + net.asym_up_ms < poll_ms
         )
         self.asym_up_ms = net.asym_up_ms
         self.duplicates = faults.duplicate_reports
@@ -325,11 +320,9 @@ class VirtualNet:
         at = now + (self._lat_buf or self._latencies()).pop()
         if trace is not None:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
-        elif type(msg) is not Report:
-            self.loop.schedule(at, on_response, response, *ctx)
-        elif self.hands_answers:
+        elif self.hands_answers and type(msg) is Report:
             client._answer_due(response, at, *ctx)
-        elif not self.judges_reports or report_step(response) is None:
+        else:
             self.loop.schedule(at, on_response, response, *ctx)
 
     def _reply(self, response: str, on_response: Callable[..., None], ctx: tuple) -> None:
@@ -532,13 +525,8 @@ class SimClient:
             sim.loop.schedule(sim.loop.now + sim.poll_ms, self._try_send, plan)
 
     def _answer_due(self, response: str, at: int, plan: _RoundPlan) -> None:
-        """Take a REPORT answer as it is delivered; it lands at virtual time `at`.
-
-        Called only where `VirtualNet.hands_answers` holds. An answer that
-        settles the round settles it now, unless an earlier answer of the
-        round settled nothing; such an answer, and every later one of its
-        round, is an `_on_answer` event at `at`.
-        """
+        """Take a REPORT answer as it is delivered, to land at virtual time
+        `at`, by the first case of `VirtualNet`'s rule."""
         column = plan.column
         if column in self._settled:
             return
@@ -551,11 +539,7 @@ class SimClient:
     def _on_answer(self, response: str, plan: _RoundPlan) -> None:
         """Judge a REPORT answer as it lands: settle its round, or retry.
 
-        A traced run calls this for every answer. An untraced one calls it
-        only for the answers `VirtualNet`'s rule makes events: on a net that
-        neither drops nor duplicates, those that settle nothing; where the
-        net hands answers to `_answer_due`, those and every later answer of
-        their round; on any other net, every answer.
+        Called for the answers that `VirtualNet`'s rule makes events.
         """
         if plan.column in self._settled:
             return

@@ -82,13 +82,6 @@ def best_estimate(samples: Iterable[SyncSample]) -> ClockEstimate:
     return tuple.__new__(ClockEstimate, (offset, delay, used))
 
 
-def estimate(sample: SyncSample) -> tuple[int, int]:
-    """Offset/delay of one sample, as `best_estimate` computes them; raises
-    ClockSyncError when the delay is negative."""
-    offset, delay, _used = best_estimate((sample,))
-    return offset, delay
-
-
 class Clock(Protocol):
     """Local time source; injected so schedules are testable."""
 

@@ -33,7 +33,7 @@ from rollcall.protocol import (
     derive_token,
     encode_message,
 )
-from rollcall.timesync import SyncSample, SystemClock, estimate
+from rollcall.timesync import SyncSample, SystemClock, best_estimate
 
 from test_protocol import GOLDEN_TOKENS
 from test_stats import student_t_false_positive_rate
@@ -102,7 +102,7 @@ def test_criterion_3_time_sync_exact():
         d = rng.randint(0, 400)
         t1 = rng.randint(0, 10**9)
         sample = SyncSample(t1, t1 + d + o, t1 + d + o, t1 + 2 * d)
-        assert estimate(sample)[0] == o
+        assert best_estimate((sample,)).offset_ms == o
     # asymmetric paths: the error is exactly half the delay difference
     for _ in range(300):
         o = rng.randint(-5000, 5000)
@@ -111,8 +111,8 @@ def test_criterion_3_time_sync_exact():
         if d2 < 0:
             d1, d2 = d2 + 200, d1 + 200
         t1 = rng.randint(0, 10**9)
-        offset, _ = estimate(SyncSample(t1, t1 + d1 + o, t1 + d1 + o, t1 + d1 + d2))
-        assert abs(offset - o) == abs(d1 - d2) // 2
+        sample = SyncSample(t1, t1 + d1 + o, t1 + d1 + o, t1 + d1 + d2)
+        assert abs(best_estimate((sample,)).offset_ms - o) == abs(d1 - d2) // 2
     # end to end through the simulator's sync exchange
     for o in (-5000, -777, 0, 1234, 5000):
         spec = sim.ScenarioSpec(

@@ -82,8 +82,10 @@ def test_no_module_imports_a_name_it_never_uses():
     # the package's own `__init__` imports names only to re-export them
     modules = sorted(path for path in SRC.joinpath("rollcall").glob("*.py")
                      if path.name != "__init__.py")
-    assert modules
-    for path in modules:
+    here = Path(__file__).resolve().parent
+    tests, demos = sorted(here.glob("*.py")), sorted(here.parent.joinpath("demos").glob("*.py"))
+    assert modules and tests and demos
+    for path in modules + tests + demos:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 

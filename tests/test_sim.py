@@ -331,7 +331,7 @@ def reply_specs(draw):
     """Specs that draw EARLY answers (negative margins), LATE ones (short grace),
     clock faults, loss bursts, nets with and without drops and duplicates, and
     uplink asymmetries on both sides of `retry_ms`, the bound under which an
-    untraced run settles REPORT answers at delivery."""
+    untraced run on a net that can drop settles REPORT answers at delivery."""
     m = draw(st.integers(1, 40))
     low = draw(st.integers(0, 60))
     clients = st.integers(0, m - 1)
@@ -378,49 +378,40 @@ BOUNDARY = [
 
 
 class TestReplyFastPath:
-    """Which untraced REPORT answers become events; the traced run, which keeps
-    every reply event, is the reference. On a net that neither drops nor
-    duplicates, an answer is judged at delivery and only one that settles
-    nothing becomes an event: each request gets one answer and no poll runs,
-    so nothing needs recording. On any other net where the worst round trip
-    is shorter than the poll delay (`retry_ms > asym_up_ms`), an answer goes
-    to its client at delivery, which settles the round at once unless an
-    answer of that round settled nothing before; such a round is marked and
-    all its answers from then on are events. Elsewhere every answer is one."""
+    """Which untraced REPORT answers become events, by the rule in
+    `VirtualNet`'s docstring; the traced run, which keeps every reply event,
+    is the reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(reply_specs())
     @example(BOUNDARY[0])
     @example(BOUNDARY[1])
+    # a clean net whose early sends draw `REJ EARLY` and so mark rounds
+    @example(small_spec(send_margin_ms=-100))
+    # a net that duplicates and cannot drop, with a round trip past retry_ms
+    @example(small_spec(net=NetModel(asym_up_ms=300), faults=FaultPlan(duplicate_reports=True),
+                        send_margin_ms=-400))
     def test_an_untraced_run_equals_the_traced_run(self, spec):
-        traced = run_scenario(spec)
-        untraced = run_scenario(spec, capture_trace=False)
+        scheduled = []
+        real = EventLoop.schedule
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                EventLoop, "schedule", lambda loop, *args: scheduled.append(1) or real(loop, *args)
+            )
+            traced = run_scenario(spec)
+            traced_events, scheduled[:] = len(scheduled), []
+            untraced = run_scenario(spec, capture_trace=False)
         assert untraced.counts == traced.counts
         assert untraced.n_star == traced.n_star
         assert untraced.counter_log == traced.counter_log
         assert untraced.sync_offsets == traced.sync_offsets
+        assert len(scheduled) <= traced_events  # no fast path adds an event
 
-    def test_only_a_retry_calls_the_client_back(self, monkeypatch):
-        answers = []
-        real = sim.SimClient._on_answer
-        monkeypatch.setattr(
-            sim.SimClient, "_on_answer",
-            lambda client, response, plan: answers.append(response) or real(client, response, plan),
-        )
-        run_scenario(small_spec(), capture_trace=False)
-        assert answers == []
-        early = small_spec(send_margin_ms=-100)
-        traced = run_scenario(early)
-        replies = [line.split(" ", 2)[2] for line in traced.event_trace if line.split()[1] == "REPLY"]
-        report_answers = [line for line in replies if not line.startswith("SYNCR ")]
-        assert answers == report_answers  # a traced run calls back once per REPORT answer
-        assert "ACK CAL 0" in answers and "REJ EARLY" in answers
-        answers.clear()
-        untraced = run_scenario(early, capture_trace=False)
-        assert answers == ["REJ EARLY"] * report_answers.count("REJ EARLY")
-        assert (untraced.counts, untraced.n_star) == (traced.counts, traced.n_star)
-
-    def test_only_rounds_with_a_retry_call_the_client_back_on_a_lossy_net(self, monkeypatch):
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(net=NetModel(loss_prob=0.2), faults=FaultPlan(duplicate_reports=True)),
+    ], ids=["clean", "lossy-duplicating"])
+    def test_only_rounds_with_a_retry_call_the_client_back(self, spec, monkeypatch):
         calls = []  # (client, round column, answer) per call
         real = sim.SimClient._on_answer
         monkeypatch.setattr(
@@ -428,16 +419,15 @@ class TestReplyFastPath:
             lambda client, response, plan: calls.append((client.index, plan.column, response))
             or real(client, response, plan),
         )
-        lossy = dict(net=NetModel(loss_prob=0.2), faults=FaultPlan(duplicate_reports=True))
 
         def run(**overrides):
             calls.clear()
-            outcome = run_scenario(small_spec(**{**lossy, **overrides}), capture_trace=False)
+            outcome = run_scenario(replace(spec, **overrides), capture_trace=False)
             return outcome, list(calls)
 
         def traced_run(**overrides):
             calls.clear()
-            outcome = run_scenario(small_spec(**{**lossy, **overrides}))
+            outcome = run_scenario(replace(spec, **overrides))
             replies = [line.split(" ", 2)[2] for line in outcome.event_trace
                        if line.split()[1] == "REPLY" and line.split()[2] != "SYNCR"]
             assert [answer for _client, _column, answer in calls] == replies
@@ -450,14 +440,18 @@ class TestReplyFastPath:
         traced, traced_calls = traced_run(send_margin_ms=-100)
         untraced, untraced_calls = run(send_margin_ms=-100)
         early = [call for call in traced_calls if call[2] == "REJ EARLY"]
+        assert early and any(call[2] == "ACK CAL 0" for call in traced_calls)
         assert [call for call in untraced_calls if call[2] == "REJ EARLY"] == early
         marked = {(client, column) for client, column, _answer in early}
         assert all((client, column) in marked for client, column, _answer in untraced_calls)
         assert len(untraced_calls) > len(early)  # a marked round's later answers
+        assert (untraced.counts, untraced.n_star) == (traced.counts, traced.n_star)
         assert untraced.counter_log == traced.counter_log
 
+        if not spec.net.loss_prob:
+            return  # a net that cannot drop hands every answer, whatever its asymmetry
         for asym_up_ms in (250, 300):  # retry_ms is 250: every answer is an event
-            net = NetModel(loss_prob=0.2, asym_up_ms=asym_up_ms)
+            net = replace(spec.net, asym_up_ms=asym_up_ms)
             traced, traced_calls = traced_run(net=net)
             untraced, untraced_calls = run(net=net)
             assert untraced_calls == traced_calls
