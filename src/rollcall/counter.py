@@ -107,26 +107,6 @@ def read_log(path: str | Path) -> list[LogEvent]:
     return [parse_log_line(line) for line in text.split("\n")[:-1]]
 
 
-def _drop_torn_tail(path: str | Path) -> None:
-    """Truncate the file to its last newline, so the next append starts a line.
-
-    A torn tail is part of one line, so the search usually ends in the first
-    block read backwards from the end.
-    """
-    with open(path, "a+b") as fh:
-        size = keep = fh.seek(0, os.SEEK_END)
-        while keep > 0:
-            start = max(0, keep - MAX_LINE_BYTES)
-            fh.seek(start)
-            newline = fh.read(keep - start).rfind(b"\n")
-            if newline >= 0:
-                keep = start + newline + 1
-                break
-            keep = start
-        if keep < size:
-            fh.truncate(keep)
-
-
 class EventLog:
     """Append-only sink; `sync` makes what was appended durable.
 
@@ -152,7 +132,10 @@ class EventLog:
         self._end = self._synced = 0
         self._sync_lock = threading.Lock()
         if path is not None:
-            _drop_torn_tail(path)
+            with open(path, "a+b") as fh:  # cut the torn tail that `read_log` skips
+                fh.seek(0)
+                data = fh.read()
+                fh.truncate(data.rfind(b"\n") + 1)
             self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             self._end = self._synced = os.lseek(self._fd, 0, os.SEEK_END)
 

@@ -163,8 +163,8 @@ def _check_nonce(nonce: str) -> None:
 # decoder builds messages with `tuple.__new__`, which skips the checks: each
 # verb's pattern is built from the very field patterns the checks use, and it
 # fixes the number of fields, which `_make` would count again. The simulated
-# client builds its REPORTs so too: its nonce is checked once per client, and
-# each token is cut from a checked Report.
+# client builds its REPORTs so too: its nonce, `sim-` and at least 8 digits,
+# is valid by its format, and each token is cut from a checked Report.
 
 
 class SyncRequest(namedtuple("SyncRequest", "t1")):

@@ -42,7 +42,6 @@ from .protocol import (
     RoundRef,
     SyncRequest,
     SyncResponse,
-    _check_nonce,
     derive_token,
     encode_message,
 )
@@ -430,7 +429,6 @@ class SimClient:
         self.sim = sim
         self.index = index
         self.nonce = f"sim-{index:08d}"
-        _check_nonce(self.nonce)  # so that every REPORT line built from it is valid
         spec = sim.spec
         # per round: whether it reports, and at what estimated counter time
         self.participates, self.send_at = participates, send_at
@@ -515,8 +513,9 @@ class SimClient:
             self._settled.add(plan.column)
             return
         sim = self.sim
-        # the nonce was checked once and the token cut from a real Report, so
-        # the message skips the checks, as the decoder's do
+        # the nonce is valid by its format (8+ non-space characters) and the
+        # token was cut from a real Report, so the message skips the checks,
+        # as the decoder's do
         report = tuple.__new__(Report, (plan.round, self.nonce, plan.token))
         line = f"{plan.head} {self.nonce} {plan.token}"
         sim.net.request(line, self, self._on_answer, plan, msg=report)

@@ -3,9 +3,12 @@
 The calibration counts give a sample mean and sample standard deviation
 (n-1 denominator); the execution count is standardized as
 ``z = (n_star - mean) / stddev`` and the one-sided verdict compares z against
-the normal critical value for the chosen significance level. A calibration is
-only usable when every count is positive and max/min stays within 10, the
-literal reading of "within an order of magnitude".
+the normal critical value for the chosen significance level. z is computed
+from integer sums, as ``(n_star * n - sum(counts)) / n / stddev``, so its
+numerator is the exact difference rounded once, not a difference of the
+rounded mean. A calibration is only usable when every count is positive and
+max/min stays within 10, the literal reading of "within an order of
+magnitude".
 
 `statistics` gives the mean (`fmean`), sample standard deviation (`stdev`)
 and quantile (`NormalDist`). The CDF is ``0.5 * erfc(-z/√2)`` clamped into
@@ -87,7 +90,8 @@ def z_score(dist: CalibrationDistribution, n_star: int) -> float:
         raise DegenerateCalibrationError(
             "calibration counts show zero spread; the standardized score is undefined"
         )
-    return (n_star - dist.mean) / dist.stddev
+    n = len(dist.counts)
+    return (n_star * n - sum(dist.counts)) / n / dist.stddev
 
 
 def normal_cdf(z: float) -> float:

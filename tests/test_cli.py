@@ -1,7 +1,9 @@
+import random
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from rollcall.cli import (
     EXIT_COPING, EXIT_ERROR, EXIT_OK, EXIT_UNSTABLE, build_parser, main, _parse_address,
 )
-from rollcall.counter import log_distribution, read_log
+from rollcall.counter import log_distribution, read_log, replay_events
 from rollcall.protocol import ExperimentConfig, RoundRef, derive_token, format_config
 
 from conftest import make_config
@@ -453,6 +455,152 @@ class TestCounterStops:
                 if counter.poll() is None:
                     counter.kill()
         assert log.read_bytes() == b""
+
+
+class LoadConnection(threading.Thread):
+    """One connection that sends pipelined batches of REPORTs (valid, resent,
+    bad token, malformed) and SYNCs until the counter goes away, keeping each
+    request with the answer it got, if any."""
+
+    KINDS = ("valid", "resend", "badtoken", "malformed", "sync")
+
+    def __init__(self, port, config, name, seed, resendable):
+        super().__init__(daemon=True)
+        self.port, self.config, self.name = port, config, name
+        self.rng = random.Random(seed)
+        # pairs counted before their resend arrives: ones answered in an
+        # earlier run, and ones sent earlier on this connection
+        self.resendable = list(resendable)
+        self.requests = []  # (kind, round, nonce)
+        self.answers = []  # one per request, in order, while answers come
+
+    def request(self):
+        kind = self.rng.choices(self.KINDS, weights=(6, 2, 1, 1, 1))[0]
+        round = self.rng.choice(self.config.rounds())
+        nonce = f"{self.name}-{len(self.requests):05d}"
+        if kind == "resend" and self.resendable:
+            round, nonce = self.rng.choice(self.resendable)
+        elif kind == "resend":
+            kind = "valid"
+        if kind == "valid":
+            self.resendable.append((round, nonce))
+        token = derive_token(self.config.secret, round) if kind != "badtoken" else "0" * 32
+        self.requests.append((kind, round, nonce))
+        if kind == "malformed":
+            return f"REPORT {round.wire()} {nonce}"
+        if kind == "sync":
+            return f"SYNC {int(time.time() * 1000)}"
+        return f"REPORT {round.wire()} {nonce} {token}"
+
+    def run(self):
+        try:
+            with socket.create_connection(("127.0.0.1", self.port), timeout=10) as sock:
+                reader = sock.makefile("rb")
+                while True:
+                    batch = [self.request() for _ in range(16)]
+                    sock.sendall("".join(line + "\n" for line in batch).encode())
+                    for _ in batch:
+                        answer = reader.readline()
+                        if not answer.endswith(b"\n"):  # the counter is gone
+                            return
+                        self.answers.append(answer.decode().rstrip("\n"))
+        except OSError:
+            return
+
+
+def expected_answer(kind, round):
+    return {"valid": f"ACK {round.wire()}", "resend": "REJ DUP", "badtoken": "REJ BADTOKEN",
+            "malformed": "REJ MALFORMED", "sync": "SYNCR"}[kind]
+
+
+class TestKilledUnderLoad:
+    """SIGKILL the counter while connections load it, and restart it on its log.
+
+    The kill lands anywhere among one connection's write, the shared fsync
+    and another connection's answer. It keeps the page cache, so this tests
+    the service's write, fsync, answer order and the replay of what was
+    written, not power loss, which `TestDurableLogModel` models.
+    """
+
+    KILLS = 5
+    CONNECTIONS = 3
+
+    def test_acked_reports_survive_repeated_kills(self, tmp_path, capsys):
+        rng = random.Random(28)
+        start = time.time()
+        now = int(start * 1000)
+        # every window is open from the start, and all have closed 5 s later
+        config = make_config(n_rounds=2, epoch_ms=now - 10, delta_t_ms=2, delta_tau_ms=1,
+                             grace_ms=5_000)
+        conf = tmp_path / "exp.conf"
+        conf.write_text(format_config(config))
+        log = tmp_path / "counter.log"
+        rounds = config.rounds()
+        sent = {round: set() for round in rounds}  # distinct valid nonces written
+        acked = set()  # (round, nonce) pairs answered ACK or DUP
+        kills = 0
+        while kills < self.KILLS and time.time() < start + 2.5:  # leave time to resend all
+            counter, port = spawn_counter(conf, log)
+            with counter:
+                try:
+                    loads = [LoadConnection(port, config, f"k{kills}-c{i}", rng.random(),
+                                            sorted(acked)) for i in range(self.CONNECTIONS)]
+                    for load in loads:
+                        load.start()
+                    time.sleep(rng.uniform(0.05, 0.3))
+                    counter.kill()
+                    counter.wait(timeout=5)
+                finally:
+                    if counter.poll() is None:
+                        counter.kill()
+            kills += 1
+            for load in loads:
+                load.join(timeout=10)
+                assert not load.is_alive()
+                for i, (kind, round, nonce) in enumerate(load.requests):
+                    if kind in ("valid", "resend"):
+                        sent[round].add(nonce)
+                    if i < len(load.answers):
+                        assert load.answers[i].startswith(expected_answer(kind, round))
+                        if kind in ("valid", "resend"):
+                            acked.add((round, nonce))
+            state = replay_events(config, read_log(log))
+            assert acked <= state.seen
+            for round in rounds:
+                acked_here = sum(1 for pair in acked if pair[0] == round)
+                assert acked_here <= state.tallies[round].count <= len(sent[round])
+        assert kills >= 2 and acked
+
+        # a last counter that closes every round: each report ever sent is
+        # now counted, so its tallies are the distinct valid reports sent
+        counter, port = spawn_counter(conf, log, extra_args=["--until-complete"])
+        with counter:
+            try:
+                pairs = sorted((round, nonce) for round in rounds for nonce in sent[round])
+                if len(sent[rounds[0]]) == len(sent[rounds[1]]):  # keep a spread to analyze
+                    pairs.append((rounds[0], "one-more-report"))
+                    sent[rounds[0]].add("one-more-report")
+                with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                    sock.sendall("".join(
+                        f"REPORT {round.wire()} {nonce} {derive_token(config.secret, round)}\n"
+                        for round, nonce in pairs).encode())
+                    sock.shutdown(socket.SHUT_WR)
+                    answers = sock.makefile("rb").read().decode().splitlines()
+                assert len(answers) == len(pairs)
+                for pair, answer in zip(pairs, answers):
+                    if pair in acked:
+                        assert answer == "REJ DUP"
+                    else:
+                        assert answer in ("REJ DUP", f"ACK {pair[0].wire()}")
+                assert counter.wait(timeout=15) == EXIT_OK
+            finally:
+                if counter.poll() is None:
+                    counter.kill()
+        capsys.readouterr()
+        assert main(["analyze", "--log", str(log)]) != EXIT_ERROR
+        fields = out_fields(capsys.readouterr().out)
+        assert fields["counts"] == " ".join(str(len(sent[r])) for r in rounds[:-1])
+        assert fields["n_star"] == str(len(sent[rounds[-1]]))
 
 
 class TestParsing:

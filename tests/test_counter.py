@@ -12,7 +12,7 @@ import unittest.mock
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rollcall.counter import (
     MAX_LINE_BYTES,
@@ -489,6 +489,22 @@ class TestLogInterpreter:
         core.handle_line("garbage", 5)
         core.log.close()
         assert path.read_bytes() == b"5 REJECT garbage\n"
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.binary())
+    @example(b"")
+    @example(b"no newline at all")
+    @example(b"1 CLOSE CAL 0\n" + b"\xff" * (2 * MAX_LINE_BYTES + 1))
+    def test_the_log_cuts_exactly_the_tail_reading_skips(self, data):
+        whole = data[: data.rfind(b"\n") + 1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counter.log"
+            path.write_bytes(data)
+            log = EventLog(path)
+            assert path.read_bytes() == whole
+            log.append(5, "REJECT", "garbage")
+            log.close()
+            assert path.read_bytes() == whole + b"5 REJECT garbage\n"
 
     @settings(deadline=None, max_examples=60)
     @given(

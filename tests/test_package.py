@@ -89,6 +89,43 @@ def test_no_module_imports_a_name_it_never_uses():
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
+def unreferenced_private_definitions(sources):
+    """The module-level private functions and classes of `sources` (module name
+    to source text) that no code references outside their own definition, as a
+    name, an attribute or an imported name; dunder names are left out."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = None
+            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")):
+                own = top.name
+                defined.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in referenced]
+
+
+def test_no_private_helper_is_dead():
+    example = {
+        "a": "def _dead():\n    _dead()\nclass _Used:\n    pass\ndef __getattr__(n): pass\n",
+        "b": "from a import _Used\ndef _called(): pass\nx = m._called\n",
+    }
+    assert unreferenced_private_definitions(example) == ["a._dead"]
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.joinpath("rollcall").glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []
+
+
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rollcall.no_such_name

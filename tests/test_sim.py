@@ -312,6 +312,12 @@ class TestHopWork:
             assert type(msg) is protocol.Report
             assert msg == protocol.decode_message(line)
 
+    def test_a_client_nonce_is_valid_by_its_format(self):
+        # no client checks the nonce it builds, so its format must pass at any index
+        simulation = Simulation(small_spec())
+        for index in (0, 10**8, 2**32):
+            protocol._check_nonce(sim.SimClient(simulation, index, [], []).nonce)
+
     def test_rounds_are_one_value_from_every_source(self):
         config = small_spec().config
         for i, round in enumerate(config.rounds()[:-1]):

@@ -4,7 +4,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rollcall.stats import (
     COPING_EVIDENCE,
@@ -91,6 +91,8 @@ class TestZScore:
         )
 
     @given(count_lists, st.integers(0, 10**6), st.integers(2, 50))
+    # a large mean: subtracting the rounded float mean lost about 1e-12 here
+    @example(counts=[999748, 999773, 999749], n_star=999793, k=3)
     def test_scale_invariance(self, counts, n_star, k):
         dist = summarize(counts)
         if dist.stddev == 0.0:
@@ -175,7 +177,7 @@ class TestAnalyze:
         assert analyze(dist, 100).verdict == NO_COPING_EVIDENCE  # z = 0
 
     def test_unstable_gates_any_z(self):
-        dist = CalibrationDistribution(counts=(1, 100), mean=100.0, stddev=10.0, stable=False)
+        dist = CalibrationDistribution(counts=(100, 100), mean=100.0, stddev=10.0, stable=False)
         result = analyze(dist, 50)  # z = -5
         assert result.z == -5.0
         assert result.verdict == UNSTABLE_CALIBRATION
