@@ -196,9 +196,15 @@ class VirtualNet:
     drawn, when it is 0).
 
     One rule decides which REPORT answers become events:
-    - An untraced run where no poll can read a round before its answer lands
-      (`hands_answers`): a net that cannot drop runs no polls, and on one
-      that can, even the worst round trip, `2 * max_latency_ms +
+    - An untraced run on a net that gives each send exactly one answer (it
+      cannot drop and does not duplicate): `_deliver` judges each answer
+      with `report_step`, and only one that settles nothing (`REJ EARLY`) is
+      an `_on_answer` event, with no mark. No poll runs and each answer
+      starts at most one send, so nothing reads what a settling answer
+      settles, and it costs no client call, set write or event.
+    - Any other untraced run where no poll can read a round before its
+      answer lands (`hands_answers`): a net that cannot drop runs no polls,
+      and on one that can, even the worst round trip, `2 * max_latency_ms +
       asym_up_ms`, is shorter than the client's poll delay (`retry_ms`
       above `asym_up_ms`). Each answer goes to its client's `_answer_due`
       as it is delivered, with the time it lands. The client ignores an
@@ -236,6 +242,7 @@ class VirtualNet:
         )
         self.asym_up_ms = net.asym_up_ms
         self.duplicates = faults.duplicate_reports
+        self.one_answer = trace is None and not (self.can_drop or self.duplicates)
         start, end = faults.loss_burst or (0, -1)
         self._burst = range(start, end + 1)  # the virtual times it drops every send
         self._lat_buf: list[int] = []
@@ -319,6 +326,9 @@ class VirtualNet:
         at = now + (self._lat_buf or self._latencies()).pop()
         if trace is not None:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
+        elif self.one_answer and type(msg) is Report:
+            if report_step(response) is None:
+                self.loop.schedule(at, on_response, response, *ctx)
         elif self.hands_answers and type(msg) is Report:
             client._answer_due(response, at, *ctx)
         else:
@@ -524,8 +534,8 @@ class SimClient:
             sim.loop.schedule(sim.loop.now + sim.poll_ms, self._try_send, plan)
 
     def _answer_due(self, response: str, at: int, plan: _RoundPlan) -> None:
-        """Take a REPORT answer as it is delivered, to land at virtual time
-        `at`, by the first case of `VirtualNet`'s rule."""
+        """Take a REPORT answer at delivery, to land at `at`: the second case
+        of `VirtualNet`'s rule, for nets that drop or duplicate."""
         column = plan.column
         if column in self._settled:
             return
@@ -538,7 +548,9 @@ class SimClient:
     def _on_answer(self, response: str, plan: _RoundPlan) -> None:
         """Judge a REPORT answer as it lands: settle its round, or retry.
 
-        Called for the answers that `VirtualNet`'s rule makes events.
+        Called for the answers that `VirtualNet`'s rule makes events: on a
+        one-answer net those that settle nothing, with `_answer_due` those
+        and every later answer of a marked round, elsewhere every answer.
         """
         if plan.column in self._settled:
             return

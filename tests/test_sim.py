@@ -392,9 +392,14 @@ class TestReplyFastPath:
     @given(reply_specs())
     @example(BOUNDARY[0])
     @example(BOUNDARY[1])
-    # a clean net whose early sends draw `REJ EARLY` and so mark rounds
+    # a clean net whose early sends draw `REJ EARLY`, each a retry
     @example(small_spec(send_margin_ms=-100))
-    # a net that duplicates and cannot drop, with a round trip past retry_ms
+    # a clean net with `REJ EARLY` answers and final `REJ LATE` ones
+    @example(small_spec(send_margin_ms=-100, faults=FaultPlan(
+        clock_offsets=((0, 2500), (1, -2500)), unsynced=frozenset({0, 1}))))
+    # nets that duplicate and cannot drop: `REJ EARLY` answers mark rounds,
+    # and with a round trip past retry_ms every answer was once an event
+    @example(small_spec(faults=FaultPlan(duplicate_reports=True), send_margin_ms=-100))
     @example(small_spec(net=NetModel(asym_up_ms=300), faults=FaultPlan(duplicate_reports=True),
                         send_margin_ms=-400))
     def test_an_untraced_run_equals_the_traced_run(self, spec):
@@ -411,7 +416,14 @@ class TestReplyFastPath:
         assert untraced.n_star == traced.n_star
         assert untraced.counter_log == traced.counter_log
         assert untraced.sync_offsets == traced.sync_offsets
-        assert len(scheduled) <= traced_events  # no fast path adds an event
+        if spec.net.loss_prob or spec.faults.loss_burst or spec.faults.duplicate_reports:
+            assert len(scheduled) <= traced_events  # no fast path adds an event
+        else:  # each send gets one answer: only one that settles nothing is an event
+            replies = [line.split(" ", 2)[2] for line in traced.event_trace
+                       if line.split(" ", 2)[1] == "REPLY"]
+            settling = [answer for answer in replies
+                        if not answer.startswith("SYNCR") and answer != "REJ EARLY"]
+            assert len(scheduled) == traced_events - len(settling)
 
     @pytest.mark.parametrize("spec", [
         small_spec(),
@@ -450,7 +462,10 @@ class TestReplyFastPath:
         assert [call for call in untraced_calls if call[2] == "REJ EARLY"] == early
         marked = {(client, column) for client, column, _answer in early}
         assert all((client, column) in marked for client, column, _answer in untraced_calls)
-        assert len(untraced_calls) > len(early)  # a marked round's later answers
+        if spec.net.loss_prob:
+            assert len(untraced_calls) > len(early)  # a marked round's later answers
+        else:  # each send gets one answer: only `REJ EARLY` calls back, 148 of them
+            assert untraced_calls == early
         assert (untraced.counts, untraced.n_star) == (traced.counts, traced.n_star)
         assert untraced.counter_log == traced.counter_log
 
