@@ -293,14 +293,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         dist = stats.summarize(outcome.counts)
         _print_analysis(outcome.counts, dist, outcome.analysis)
-    if args.log_out:
-        Path(args.log_out).write_text(
-            "".join(line + "\n" for line in outcome.counter_log), encoding="utf-8"
-        )
-    if args.trace_out:
-        Path(args.trace_out).write_text(
-            "".join(line + "\n" for line in outcome.event_trace), encoding="utf-8"
-        )
+    for path, lines in ((args.log_out, outcome.counter_log), (args.trace_out, outcome.event_trace)):
+        if not path:
+            continue
+        try:
+            Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_ERROR
     return EXIT_OK
 
 

@@ -195,28 +195,20 @@ class VirtualNet:
     already compared with the loss probability (all `False`, with nothing
     drawn, when it is 0).
 
-    One rule decides which REPORT answers become events:
-    - An untraced run on a net that gives each send exactly one answer (it
-      cannot drop and does not duplicate): `_deliver` judges each answer
-      with `report_step`, and only one that settles nothing (`REJ EARLY`) is
-      an `_on_answer` event, with no mark. No poll runs and each answer
-      starts at most one send, so nothing reads what a settling answer
-      settles, and it costs no client call, set write or event.
-    - Any other untraced run where no poll can read a round before its
-      answer lands (`hands_answers`): a net that cannot drop runs no polls,
-      and on one that can, even the worst round trip, `2 * max_latency_ms +
-      asym_up_ms`, is shorter than the client's poll delay (`retry_ms`
-      above `asym_up_ms`). Each answer goes to its client's `_answer_due`
-      as it is delivered, with the time it lands. The client ignores an
-      answer to a settled round, settles the round at once for an answer
-      that settles it, and makes an event of an answer that settles nothing
-      (`report_step` gives None), marking its round so that every later
-      answer of that round is an event too. Only a send reads what an
-      answer settles, and each answer lands before its own send's poll
-      reads the round. An earlier send's poll can be pending only in the
-      second chain of sends that a non-settling answer starts, and a
-      round's `REJ EARLY` answers are delivered before its in-window ones,
-      so the mark is set before that chain matters.
+    Each round has one chain of sends. On a net that gives each send exactly
+    one answer (`one_answer`: it cannot drop and does not duplicate) the
+    answer follows a send up and starts the retry; on any other net the
+    send's poll does, and an answer only settles its round. One rule
+    decides which REPORT answers become events:
+    - An untraced run where every answer of a send lands before its poll
+      (`hands_answers`): a one-answer net, which runs no poll, or one where
+      even the worst round trip, `2 * max_latency_ms + asym_up_ms`, is
+      shorter than the poll delay (`retry_ms` above `asym_up_ms`).
+      `_deliver` judges each answer with `report_step`. On a one-answer net
+      only one that settles nothing is an `_on_answer` event; elsewhere one
+      that settles its round settles it at once and any other is ignored.
+      Only the latest send's answers are in flight, and they all land
+      before its poll reads the round.
     - Otherwise, and on every traced run, every answer is an event
       (`_reply` when traced).
     """
@@ -237,12 +229,12 @@ class VirtualNet:
         self.counter = counter
         self.trace = trace
         self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
+        self.duplicates = faults.duplicate_reports
+        self.one_answer = not (self.can_drop or self.duplicates)
         self.hands_answers = trace is None and (
-            not self.can_drop or 2 * net.max_latency_ms + net.asym_up_ms < poll_ms
+            self.one_answer or 2 * net.max_latency_ms + net.asym_up_ms < poll_ms
         )
         self.asym_up_ms = net.asym_up_ms
-        self.duplicates = faults.duplicate_reports
-        self.one_answer = trace is None and not (self.can_drop or self.duplicates)
         start, end = faults.loss_burst or (0, -1)
         self._burst = range(start, end + 1)  # the virtual times it drops every send
         self._lat_buf: list[int] = []
@@ -326,11 +318,12 @@ class VirtualNet:
         at = now + (self._lat_buf or self._latencies()).pop()
         if trace is not None:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
-        elif self.one_answer and type(msg) is Report:
-            if report_step(response) is None:
-                self.loop.schedule(at, on_response, response, *ctx)
         elif self.hands_answers and type(msg) is Report:
-            client._answer_due(response, at, *ctx)
+            if report_step(response) is not None:
+                if not self.one_answer:
+                    client._settled.add(ctx[0].column)
+            elif self.one_answer:
+                self.loop.schedule(at, on_response, response, *ctx)
         else:
             self.loop.schedule(at, on_response, response, *ctx)
 
@@ -448,7 +441,6 @@ class SimClient:
         self._sync_samples: list[SyncSample] = []
         self._sync_attempts = 0
         self._settled: set[int] = set()  # columns of rounds acknowledged or given up
-        self._marked: set[int] = set()  # columns of rounds with an answer that settled nothing
         # the true offset less the estimated one, once synced: the virtual time
         # at which the client thinks counter time t has come is t + skew
         self.skew = 0
@@ -529,35 +521,24 @@ class SimClient:
         report = tuple.__new__(Report, (plan.round, self.nonce, plan.token))
         line = f"{plan.head} {self.nonce} {plan.token}"
         sim.net.request(line, self, self._on_answer, plan, msg=report)
-        if sim.net.can_drop:
-            # a lost request or reply never answers; poll until the window closes
+        if not sim.net.one_answer:
+            # a lost request or reply never answers, and a duplicate answers
+            # twice: the poll is this send's only follow-up, until the window closes
             sim.loop.schedule(sim.loop.now + sim.poll_ms, self._try_send, plan)
 
-    def _answer_due(self, response: str, at: int, plan: _RoundPlan) -> None:
-        """Take a REPORT answer at delivery, to land at `at`: the second case
-        of `VirtualNet`'s rule, for nets that drop or duplicate."""
-        column = plan.column
-        if column in self._settled:
-            return
-        if column in self._marked or report_step(response) is None:
-            self._marked.add(column)
-            self.sim.loop.schedule(at, self._on_answer, response, plan)
-        else:
-            self._settled.add(column)
-
     def _on_answer(self, response: str, plan: _RoundPlan) -> None:
-        """Judge a REPORT answer as it lands: settle its round, or retry.
+        """Judge a REPORT answer as it lands: settle its round, or retry on a
+        one-answer net. A polled send's poll is its only follow-up, so there
+        an answer that settles nothing is ignored.
 
-        Called for the answers that `VirtualNet`'s rule makes events: on a
-        one-answer net those that settle nothing, with `_answer_due` those
-        and every later answer of a marked round, elsewhere every answer.
+        Called for the answers that `VirtualNet`'s rule makes events: where
+        it hands answers, on a one-answer net those that settle nothing and
+        elsewhere none; otherwise every answer.
         """
-        if plan.column in self._settled:
-            return
-        if report_step(response) is None:
-            self.sim.loop.schedule(self.sim.loop.now + self.sim.spec.retry_ms, self._try_send, plan)
-        else:
+        if report_step(response) is not None:
             self._settled.add(plan.column)
+        elif self.sim.net.one_answer:
+            self.sim.loop.schedule(self.sim.loop.now + self.sim.spec.retry_ms, self._try_send, plan)
 
 
 class Simulation:
@@ -569,8 +550,9 @@ class Simulation:
         self.counter = CounterCore(spec.config)
         self.plans = list(_round_plans(spec.config))
         self.sync_offsets: dict[int, int] = {}
-        # the client timers on a net that can drop: a REPORT send polls retry_ms
-        # after the longest round trip without asymmetry, a SYNC 50 ms later
+        # the client timers: on a net that drops or duplicates, a REPORT send
+        # polls retry_ms after the longest round trip without asymmetry, and
+        # on one that can drop a SYNC times out 50 ms later
         self.poll_ms = spec.retry_ms + 2 * spec.net.max_latency_ms
         self.sync_timeout_ms = self.poll_ms + 50
         self._certified: dict[int, bool] = {}  # `certify_shutdown` per clock skew

@@ -148,6 +148,17 @@ class TestSimulateAndPower:
         for key in ("counts", "mean", "stddev", "z", "p_of_z", "confidence", "verdict"):
             assert analyze_fields[key] == sim_fields[key], key
 
+    @pytest.mark.parametrize("flag", ["--log-out", "--trace-out"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_simulate_to_an_unwritable_path_is_an_error(self, tmp_path, capsys, flag, target):
+        # a path under a missing directory, or a path that is a directory
+        path = tmp_path / "missing" / "out.txt" if target == "missing" else tmp_path
+        code = main(["simulate", "--clients", "10", "--rounds", "2", flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
     def test_simulate_coping_suppresses(self, capsys):
         code = main([
             "simulate", "--clients", "300", "--rounds", "6", "--seed", "7",

@@ -300,7 +300,7 @@ class TestHopWork:
         simulation = Simulation(small_spec(config=default_sim_config(n_rounds=n_rounds)))
         sent = []
         simulation.net = SimpleNamespace(
-            can_drop=False, request=lambda line, *_ctx, msg: sent.append((line, msg))
+            one_answer=True, request=lambda line, *_ctx, msg: sent.append((line, msg))
         )
         client = sim.SimClient(simulation, 0, [], [])
         client.nonce = nonce
@@ -337,7 +337,8 @@ def reply_specs(draw):
     """Specs that draw EARLY answers (negative margins), LATE ones (short grace),
     clock faults, loss bursts, nets with and without drops and duplicates, and
     uplink asymmetries on both sides of `retry_ms`, the bound under which an
-    untraced run on a net that can drop settles REPORT answers at delivery."""
+    untraced run on a polled net (one that can drop or duplicates) settles
+    REPORT answers at delivery."""
     m = draw(st.integers(1, 40))
     low = draw(st.integers(0, 60))
     clients = st.integers(0, m - 1)
@@ -375,7 +376,8 @@ def reply_specs(draw):
 
 # on a fixed latency, an answer lands exactly at its own send's poll when
 # retry_ms equals asym_up_ms, and 1 ms before it when retry_ms is one more:
-# the first run needs the guard, the second the per-round mark
+# the first run needs the guard to be strict, and the second settles each
+# round at delivery, 1 ms before the poll that reads it
 BOUNDARY = [
     small_spec(net=NetModel(50, 50, loss_prob=0.1, asym_up_ms=30),
                faults=FaultPlan(duplicate_reports=True), send_margin_ms=-100, retry_ms=retry)
@@ -397,8 +399,8 @@ class TestReplyFastPath:
     # a clean net with `REJ EARLY` answers and final `REJ LATE` ones
     @example(small_spec(send_margin_ms=-100, faults=FaultPlan(
         clock_offsets=((0, 2500), (1, -2500)), unsynced=frozenset({0, 1}))))
-    # nets that duplicate and cannot drop: `REJ EARLY` answers mark rounds,
-    # and with a round trip past retry_ms every answer was once an event
+    # nets that duplicate and cannot drop, so they poll: with a round trip
+    # under the poll delay answers settle at delivery, past it each is an event
     @example(small_spec(faults=FaultPlan(duplicate_reports=True), send_margin_ms=-100))
     @example(small_spec(net=NetModel(asym_up_ms=300), faults=FaultPlan(duplicate_reports=True),
                         send_margin_ms=-400))
@@ -424,6 +426,25 @@ class TestReplyFastPath:
             settling = [answer for answer in replies
                         if not answer.startswith("SYNCR") and answer != "REJ EARLY"]
             assert len(scheduled) == traced_events - len(settling)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reply_specs())
+    # an unsynced client 1.5 s early on a lossy, duplicating net: its
+    # `REJ EARLY` answers must not retry beside the polls of their sends
+    @example(small_spec(net=NetModel(loss_prob=0.05), faults=FaultPlan(
+        duplicate_reports=True, clock_offsets=((0, -1500),), unsynced=frozenset({0}))))
+    def test_a_round_has_one_chain_of_sends(self, spec):
+        # a send is followed up by its answer, which retries retry_ms after it
+        # lands, or by its poll, poll_ms after it; never by both
+        last_send = {}
+        for line in run_scenario(spec).event_trace:
+            at, kind, rest = line.split(" ", 2)
+            if kind == "SEND" and rest.startswith("REPORT "):
+                *round_ref, nonce, _token = rest.split()[1:]
+                key = (nonce, *round_ref)
+                if key in last_send:
+                    assert int(at) - last_send[key] >= spec.retry_ms, line
+                last_send[key] = int(at)
 
     @pytest.mark.parametrize("spec", [
         small_spec(),
@@ -459,11 +480,8 @@ class TestReplyFastPath:
         untraced, untraced_calls = run(send_margin_ms=-100)
         early = [call for call in traced_calls if call[2] == "REJ EARLY"]
         assert early and any(call[2] == "ACK CAL 0" for call in traced_calls)
-        assert [call for call in untraced_calls if call[2] == "REJ EARLY"] == early
-        marked = {(client, column) for client, column, _answer in early}
-        assert all((client, column) in marked for client, column, _answer in untraced_calls)
-        if spec.net.loss_prob:
-            assert len(untraced_calls) > len(early)  # a marked round's later answers
+        if spec.net.loss_prob:  # the poll is each send's only follow-up: no answer calls back
+            assert untraced_calls == []
         else:  # each send gets one answer: only `REJ EARLY` calls back, 148 of them
             assert untraced_calls == early
         assert (untraced.counts, untraced.n_star) == (traced.counts, traced.n_star)
