@@ -121,6 +121,13 @@ class EventLog:
     line (best effort), and after it or a failed fsync, which a retry may
     falsely report done (Rebello et al., ATC 2020), appends and uncovered
     syncs raise CounterError, also once the log is closed.
+
+    A log that holds nothing when opened may have just been created, so its
+    directory is fsynced before the log is used: an fsync of the file makes
+    its data durable but not its name (Pillai et al., OSDI 2014). A start
+    whose directory fsync failed leaves such an empty file behind, and the
+    next start fsyncs the directory again; a restart over a log with events
+    in it fsyncs nothing.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -136,6 +143,12 @@ class EventLog:
                 fh.seek(0)
                 data = fh.read()
                 fh.truncate(data.rfind(b"\n") + 1)
+            if not data:
+                dir_fd = os.open(Path(path).parent, os.O_RDONLY | os.O_DIRECTORY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
             self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             self._end = self._synced = os.lseek(self._fd, 0, os.SEEK_END)
 
@@ -504,6 +517,9 @@ class CounterService:
         pending = b""  # a line whose "\n" has not arrived yet
         skipping = False  # inside an over-long line, discarding up to its "\n"
         try:
+            # a SYNCR written while a batch's answers are unacknowledged must
+            # not wait for the peer's delayed ACK (Nagle, RFC 896)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while chunk := conn.recv(READ_BYTES):
                 lines = (pending + chunk).split(b"\n")
                 pending = lines.pop()

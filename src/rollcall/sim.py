@@ -198,19 +198,16 @@ class VirtualNet:
     Each round has one chain of sends. On a net that gives each send exactly
     one answer (`one_answer`: it cannot drop and does not duplicate) the
     answer follows a send up and starts the retry; on any other net the
-    send's poll does, and an answer only settles its round. One rule
-    decides which REPORT answers become events:
-    - An untraced run where every answer of a send lands before its poll
-      (`hands_answers`): a one-answer net, which runs no poll, or one where
-      even the worst round trip, `2 * max_latency_ms + asym_up_ms`, is
-      shorter than the poll delay (`retry_ms` above `asym_up_ms`).
-      `_deliver` judges each answer with `report_step`. On a one-answer net
-      only one that settles nothing is an `_on_answer` event; elsewhere one
-      that settles its round settles it at once and any other is ignored.
-      Only the latest send's answers are in flight, and they all land
-      before its poll reads the round.
-    - Otherwise, and on every traced run, every answer is an event
-      (`_reply` when traced).
+    send's poll does, and an answer only settles its round. A poll waits out
+    its send's worst round trip, so every answer of a send lands before
+    whatever follows it up. One rule decides which REPORT answers become
+    events:
+    - Untraced, `_deliver` judges each answer with `report_step`. On a
+      one-answer net only one that settles nothing is an `_on_answer`
+      event; elsewhere one that settles its round settles it at once and
+      any other is ignored.
+    - Traced, every answer is an event (`_reply`), and that run is the
+      reference.
     """
 
     def __init__(
@@ -221,7 +218,6 @@ class VirtualNet:
         faults: FaultPlan,
         counter: CounterCore,
         trace: list[str] | None,
-        poll_ms: int,
     ) -> None:
         self.loop = loop
         self.rng = rng
@@ -231,9 +227,6 @@ class VirtualNet:
         self.can_drop = net.loss_prob > 0.0 or faults.loss_burst is not None
         self.duplicates = faults.duplicate_reports
         self.one_answer = not (self.can_drop or self.duplicates)
-        self.hands_answers = trace is None and (
-            self.one_answer or 2 * net.max_latency_ms + net.asym_up_ms < poll_ms
-        )
         self.asym_up_ms = net.asym_up_ms
         start, end = faults.loss_burst or (0, -1)
         self._burst = range(start, end + 1)  # the virtual times it drops every send
@@ -318,7 +311,7 @@ class VirtualNet:
         at = now + (self._lat_buf or self._latencies()).pop()
         if trace is not None:
             self.loop.schedule(at, self._reply, response, on_response, ctx)
-        elif self.hands_answers and type(msg) is Report:
+        elif type(msg) is Report:
             if report_step(response) is not None:
                 if not self.one_answer:
                     client._settled.add(ctx[0].column)
@@ -531,9 +524,9 @@ class SimClient:
         one-answer net. A polled send's poll is its only follow-up, so there
         an answer that settles nothing is ignored.
 
-        Called for the answers that `VirtualNet`'s rule makes events: where
-        it hands answers, on a one-answer net those that settle nothing and
-        elsewhere none; otherwise every answer.
+        Called for the answers that `VirtualNet`'s rule makes events: every
+        answer on a traced run; untraced, on a one-answer net those that
+        settle nothing and elsewhere none.
         """
         if report_step(response) is not None:
             self._settled.add(plan.column)
@@ -551,9 +544,9 @@ class Simulation:
         self.plans = list(_round_plans(spec.config))
         self.sync_offsets: dict[int, int] = {}
         # the client timers: on a net that drops or duplicates, a REPORT send
-        # polls retry_ms after the longest round trip without asymmetry, and
-        # on one that can drop a SYNC times out 50 ms later
-        self.poll_ms = spec.retry_ms + 2 * spec.net.max_latency_ms
+        # polls retry_ms after the longest round trip, asymmetry included,
+        # and on one that can drop a SYNC times out 50 ms later
+        self.poll_ms = spec.retry_ms + 2 * spec.net.max_latency_ms + spec.net.asym_up_ms
         self.sync_timeout_ms = self.poll_ms + 50
         self._certified: dict[int, bool] = {}  # `certify_shutdown` per clock skew
         # each client's true clock offset; reversed, so the first entry for an index wins
@@ -561,9 +554,7 @@ class Simulation:
         net_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((spec.seed, _NET_STREAM_TAG)))
         )
-        self.net = VirtualNet(
-            self.loop, net_rng, spec.net, spec.faults, self.counter, self.trace, self.poll_ms
-        )
+        self.net = VirtualNet(self.loop, net_rng, spec.net, spec.faults, self.counter, self.trace)
         # window closes strictly increase and each close event is the first of
         # its millisecond, so each closes its own round and only that one
         for plan in self.plans:

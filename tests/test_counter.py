@@ -3,6 +3,8 @@ import os
 import resource
 import signal
 import socket
+import stat
+import statistics
 import sys
 import tempfile
 import threading
@@ -860,6 +862,79 @@ class TestService:
                 sock.close()
             service.shutdown()
 
+    @staticmethod
+    def _record_fsyncs(monkeypatch, events, fail_dir=False):
+        """Patch `os.fsync` to note in `events` whether each fd is a directory."""
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(f"{kind}-fsync")
+            if fail_dir and kind == "dir":
+                raise OSError(errno.EIO, "injected")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+
+    def test_a_new_log_name_is_durable_before_the_first_answer(self, tmp_path, config,
+                                                                monkeypatch):
+        # a file fsync makes the log's data durable but not its name: a new
+        # log's directory is fsynced once before any answer, and a restart
+        # over a log with events in it fsyncs only the file
+        events = []
+        self._record_fsyncs(monkeypatch, events)
+        r0 = RoundRef.cal(0)
+        clock = FakeClock(config.window_open(r0))
+        for nonce in ("nonce-001", "nonce-002"):  # a new log, then a restart over it
+            service = CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log", clock=clock)
+            service.start_background()
+            try:
+                events += self._exchange(
+                    service.address, [encode_message(report_for(config, r0, nonce))])
+            finally:
+                service.shutdown()
+            events.append("stopped")
+        assert events == ["dir-fsync", "file-fsync", "ACK CAL 0", "stopped",
+                          "file-fsync", "ACK CAL 0", "stopped"]
+
+    def test_a_failed_directory_fsync_fails_the_start(self, tmp_path, config, monkeypatch):
+        events = []
+        fds = _open_fds()
+        with monkeypatch.context() as patched:
+            self._record_fsyncs(patched, events, fail_dir=True)
+            with pytest.raises(CounterError, match="cannot open log .*injected"):
+                CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log")
+        assert _open_fds() == fds
+        # the empty log left behind may still have no durable name
+        self._record_fsyncs(monkeypatch, events)
+        CounterService(config, ("127.0.0.1", 0), tmp_path / "svc.log").shutdown()
+        assert events == ["dir-fsync", "dir-fsync"]
+
+    def test_a_pipelined_sync_is_not_held_for_a_delayed_ack(self, tmp_path):
+        # each batch is 8 REPORTs and a SYNC in one send, from a client without
+        # TCP_QUICKACK: the SYNCR follows the batch's answers while they are
+        # unacknowledged, and under Nagle's algorithm waits for the client's
+        # delayed ACK, 40 ms or more
+        config, service = self._live_service(tmp_path)
+        token = derive_token(config.secret, RoundRef.cal(0))
+        batch_s = []
+        try:
+            with socket.create_connection(service.address, timeout=5) as sock, \
+                    sock.makefile("rb") as reader:
+                for batch in range(20):
+                    lines = [f"REPORT CAL 0 nagle-{batch:02d}-{i} {token}" for i in range(8)]
+                    payload = "".join(line + "\n" for line in lines + [f"SYNC {batch}"])
+                    started = time.perf_counter()
+                    sock.sendall(payload.encode())
+                    answers = [reader.readline() for _ in range(9)]
+                    batch_s.append(time.perf_counter() - started)
+                    assert answers[:8] == [b"ACK CAL 0\n"] * 8
+                    assert answers[8].startswith(f"SYNCR {batch} ".encode())
+        finally:
+            service.shutdown()
+        median_ms = statistics.median(batch_s) * 1000
+        assert median_ms < 20, f"batch p50 {median_ms:.1f} ms"
+
     def _live_service(self, tmp_path):
         now = int(time.time() * 1000)
         # round 0's report window is open right now
@@ -1322,8 +1397,9 @@ class TestGroupCommit:
             time.sleep(0.0005)
             durable["size"] = max(durable["size"], size)
 
-        monkeypatch.setattr(os, "fsync", recording_fsync)
         log = EventLog(tmp_path / "stress.log")
+        # patched once the log exists: the new log's directory fsync covers no line
+        monkeypatch.setattr(os, "fsync", recording_fsync)
         append_lock = threading.Lock()  # the service lock's role
         late: list[int] = []
 
@@ -1365,8 +1441,9 @@ class TestGroupCommit:
             durable["size"] = max(durable["size"], size)
             durable["calls"] += 1
 
-        monkeypatch.setattr(os, "fsync", recording_fsync)
         config, clock, service = self._service(tmp_path)
+        # patched once the log exists: the new log's directory fsync covers no line
+        monkeypatch.setattr(os, "fsync", recording_fsync)
         # per connection: (key, expected answer, request line, its logged text)
         requests = {prefix: [(nonce, expected, line.encode(), line)
                              for nonce, expected, line in self._burst(config, prefix, 60)]
@@ -1429,8 +1506,9 @@ class TestGroupCommit:
             in_fsync.set()
             time.sleep(0.3)
 
-        monkeypatch.setattr(os, "fsync", slow_fsync)
         config, clock, service = self._service(tmp_path)
+        # patched once the log exists, so that only a logged request's fsync is slow
+        monkeypatch.setattr(os, "fsync", slow_fsync)
         burst = self._burst(config, "slow", 20)
         try:
             with socket.create_connection(service.address, timeout=5) as a, \
